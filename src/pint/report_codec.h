@@ -15,7 +15,8 @@
 ///    so decoded `string_view`s stay valid for the decoder's lifetime.
 ///  * `dispatch()` replays decoded records into ordinary SinkObservers, so
 ///    the `src/apps/` adapters work unchanged behind a fan-in.
-///  * `EncodingObserver` is the sink-side adapter: subscribe it (via
+///  * `EncodingObserver` is the sink-side adapter: subscribe it (one per
+///    shard via `ShardedSink::add_shard_observer`, or one via
 ///    `ShardedSink::add_observer` for serialized delivery) and every
 ///    callback lands in an encoder.
 #pragma once
@@ -45,9 +46,10 @@ struct StreamRecord {
 
 /// Accumulates observer events and serializes them into one buffer.
 ///
-/// Not thread-safe: serialize access (ShardedSink's observer relay already
-/// does). `finish()` resets the encoder for the next epoch, so one encoder
-/// can emit a stream of buffers.
+/// Not thread-safe: give each shard its own encoder
+/// (`ShardedSink::add_shard_observer`) or serialize access (ShardedSink's
+/// observer relay does). `finish()` resets the encoder for the next epoch,
+/// so one encoder can emit a stream of buffers.
 class ReportEncoder {
  public:
   /// Records one `SinkObserver::on_observation` event.
@@ -181,7 +183,8 @@ void dispatch(std::span<const StreamRecord> records,
               std::span<SinkObserver* const> observers);
 
 /// Sink-side adapter: every observer callback is recorded into `encoder`.
-/// The encoder must outlive the observer. Register through
+/// The encoder must outlive the observer. Register one adapter and encoder
+/// per shard through `ShardedSink::add_shard_observer`, or one through
 /// `ShardedSink::add_observer` so calls arrive serialized.
 class EncodingObserver : public SinkObserver {
  public:

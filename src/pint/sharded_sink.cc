@@ -42,10 +42,11 @@ std::optional<FlowDefinition> common_flow_partition(const PintFramework& fw) {
   return FlowDefinition::kFiveTuple;
 }
 
-// Registered on one shard's framework replica; runs on that shard's worker
-// thread. Sync mode forwards inline under the observer mutex (the pre-async
-// behavior); async mode captures the callback as an ObserverEvent and
-// publishes it to the shard's SPSC ring for the shard's relay thread.
+// Registered on one shard's framework replica by the first add_observer();
+// runs on that shard's worker thread. Sync mode forwards inline under the
+// observer mutex (the pre-async behavior); async mode captures the callback
+// as an ObserverEvent and publishes it to the shard's SPSC ring for the
+// shard's relay thread.
 class ShardedSink::ShardRelay : public SinkObserver {
  public:
   ShardRelay(ShardedSink& parent, Shard& shard)
@@ -174,9 +175,9 @@ ShardedSink::ShardedSink(const PintFramework::Builder& builder,
       shard->wake_occupancy =
           std::max<std::size_t>(1, shard->obs_ring->capacity() / 2);
     }
-    shard_relays_.push_back(
-        std::make_unique<ShardRelay>(*this, *shard));
-    shard->fw->add_observer(shard_relays_.back().get());
+    // Built now, attached by the first add_observer(): until a sink-wide
+    // observer exists the replicas never call into the relay.
+    shard_relays_.push_back(std::make_unique<ShardRelay>(*this, *shard));
     shards_.push_back(std::move(shard));
   }
   // Priority shedding classes, from any replica (identical specs): a
@@ -282,6 +283,10 @@ void ShardedSink::submit(std::span<const Packet> packets, unsigned k,
   if (!reports.empty() && reports.size() != packets.size()) {
     throw std::invalid_argument("reports must be empty or match packets");
   }
+  // Load first: steady-state submits only read the flag's cache line.
+  if (!submitted_.load(std::memory_order_relaxed)) {
+    submitted_.store(true, std::memory_order_relaxed);
+  }
   const std::size_t num_shards = shards_.size();
   std::vector<Batch> staged(num_shards);
   // First touch of a shard reserves for the expected share of the burst
@@ -356,9 +361,35 @@ void ShardedSink::flush() {
   }
 }
 
+void ShardedSink::check_registration_open() const {
+  if (submitted_.load(std::memory_order_relaxed)) {
+    throw std::logic_error(
+        "ShardedSink observers must be registered before the first submit()");
+  }
+}
+
 void ShardedSink::add_observer(SinkObserver* observer) {
+  check_registration_open();
   MutexLock lock(observer_mutex_);
+  if (observers_.empty()) {
+    // First sink-wide observer: from now on every replica's callbacks also
+    // go through its relay (and so through observer_mutex_ or the ring).
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s]->fw->add_observer(shard_relays_[s].get());
+    }
+  }
   observers_.push_back(observer);
+}
+
+void ShardedSink::add_shard_observer(unsigned shard, SinkObserver* observer) {
+  if (shard >= shards_.size()) {
+    throw std::out_of_range("add_shard_observer: no such shard");
+  }
+  check_registration_open();
+  // The mutex only serializes this append against add_observer()'s relay
+  // attachment; the worker reads the list unlocked, after registration.
+  MutexLock lock(observer_mutex_);
+  shards_[shard]->fw->add_observer(observer);
 }
 
 // --- sleep/wake protocol ----------------------------------------------------

@@ -78,9 +78,19 @@ std::optional<FlowDefinition> common_flow_partition(const PintFramework& fw);
 ///    from racing NIC queues. Submitted packets (and the optional report
 ///    buffer) must stay alive and unmodified until the next `flush()`
 ///    returns.
+///  * Observers registered through `add_shard_observer(s, o)` see only
+///    shard `s`'s callbacks, invoked inline on that shard's worker thread
+///    with no lock taken (and never through the async relay below): the
+///    shard-local merge point. Each such observer's state is touched by
+///    exactly one worker, and `flush()` returning orders every callback of
+///    the flushed batches before the caller reads that state. This is how
+///    `FanInSender` encodes one report stream per shard in parallel.
 ///  * Observers registered through `add_observer()` are invoked from shard
 ///    worker threads but serialized under an internal mutex, so ordinary
 ///    single-threaded observers (the `src/apps/` adapters) work unchanged.
+///    The mutex-taking relay is attached to the replicas only when the
+///    first such observer registers: a sink with none (per-shard hooks
+///    only) takes no lock per record.
 ///    With `Builder::async_observers(depth, policy, relay_threads)` the
 ///    callbacks instead leave the packet path entirely: each shard worker
 ///    publishes events into a per-shard SPSC ring, and `relay_threads`
@@ -164,9 +174,20 @@ class ShardedSink {
   /// Blocks until every submitted packet has been processed.
   void flush();
 
-  /// Serialized observer delivery (see the class contract). Must be called
-  /// before the first `submit()`.
+  /// Serialized observer delivery (see the class contract).
+  ///
+  /// \throws std::logic_error once `submit()` has been called: the shard
+  ///   workers read the replicas' observer lists without a lock.
   void add_observer(SinkObserver* observer) PINT_EXCLUDES(observer_mutex_);
+
+  /// Shard-local observer delivery: `observer` receives shard `shard`'s
+  /// callbacks on that shard's worker thread, unserialized (see the class
+  /// contract). Non-owning; must outlive the sink.
+  ///
+  /// \throws std::out_of_range if `shard >= num_shards()`.
+  /// \throws std::logic_error once `submit()` has been called.
+  void add_shard_observer(unsigned shard, SinkObserver* observer)
+      PINT_EXCLUDES(observer_mutex_);
 
   /// True when the Builder enabled `async_observers`.
   bool async_observers() const { return async_mode_; }
@@ -445,9 +466,11 @@ class ShardedSink {
 
   // Per-shard framework observer: forwards callbacks to observers_ under
   // observer_mutex_ (sync mode) or publishes them to the shard's ring
-  // (async mode).
+  // (async mode). Attached to the replicas by the first add_observer().
   class ShardRelay;
 
+  // Throws std::logic_error once submit() has run (registration contract).
+  void check_registration_open() const;
   void worker_loop(Shard& shard) PINT_EXCLUDES(observer_mutex_);
   bool event_sheddable(ObserverEvent::Kind kind, std::string_view query) const;
   // Admits one event into the shard's transport and returns the in-place
@@ -488,6 +511,8 @@ class ShardedSink {
   std::vector<std::unique_ptr<ShardRelay>> shard_relays_;
   Mutex observer_mutex_;
   std::vector<SinkObserver*> observers_ PINT_GUARDED_BY(observer_mutex_);
+  // Set by the first submit(); closes observer registration for good.
+  std::atomic<bool> submitted_{false};
   // Async observer stage. relays_ is fixed at construction (shard->relay
   // assignment is immutable); relay_stop_ is the only cross-relay word and
   // flips exactly once, in the destructor.

@@ -169,9 +169,10 @@ void FanInCollector::handle_frame(SourceState& state,
 
 namespace {
 
-// Routes each observer event to its query's priority-class encoder, so an
-// epoch's record stream is grouped by priority at encode time (no re-sort
-// at ship time). With one class this is exactly EncodingObserver.
+// Routes one shard's observer events to that shard's encoder for the
+// query's priority class, so an epoch's record streams are grouped by
+// priority at encode time (no re-sort at ship time). Runs on the shard's
+// worker thread only (ShardedSink::add_shard_observer).
 class PriorityRoutingObserver final : public SinkObserver {
  public:
   PriorityRoutingObserver(
@@ -195,7 +196,7 @@ class PriorityRoutingObserver final : public SinkObserver {
     return it == routes_.end() ? *fallback_ : *it->second;
   }
 
-  // Keys view the sink's shard-0 specs; events from any shard carry
+  // Keys view the sink's shard-0 specs; events from this tap's shard carry
   // equal-content views, and lookups hash by content.
   std::unordered_map<std::string_view, ReportEncoder*> routes_;
   ReportEncoder* fallback_;  // lowest class: unknown queries shed first
@@ -226,25 +227,30 @@ FanInSender::FanInSender(const PintFramework::Builder& builder,
     }
   }
   std::sort(priorities.rbegin(), priorities.rend());
+  const unsigned shards = sink_->num_shards();
   classes_.resize(priorities.size());
   for (std::size_t c = 0; c < priorities.size(); ++c) {
     classes_[c].priority = priorities[c];
+    classes_[c].shards.resize(shards);
   }
-  // The classes vector never resizes again, so encoder addresses are
-  // stable for the routing tap's lifetime.
-  std::unordered_map<std::string_view, ReportEncoder*> routes;
-  for (std::string_view name : fw0.query_names()) {
-    const unsigned p = fw0.spec(name)->priority;
-    for (PriorityClass& cls : classes_) {
-      if (cls.priority == p) {
-        routes.emplace(name, &cls.encoder);
-        break;
+  // Neither vector resizes again, so encoder addresses are stable for the
+  // routing taps' lifetime. Each shard gets its own tap over its own
+  // encoders: the workers encode in parallel, with no lock per record.
+  for (unsigned s = 0; s < shards; ++s) {
+    std::unordered_map<std::string_view, ReportEncoder*> routes;
+    for (std::string_view name : fw0.query_names()) {
+      const unsigned p = fw0.spec(name)->priority;
+      for (PriorityClass& cls : classes_) {
+        if (cls.priority == p) {
+          routes.emplace(name, &cls.shards[s].encoder);
+          break;
+        }
       }
     }
+    taps_.push_back(std::make_unique<PriorityRoutingObserver>(
+        std::move(routes), &classes_.back().shards[s].encoder));
+    sink_->add_shard_observer(s, taps_.back().get());
   }
-  tap_ = std::make_unique<PriorityRoutingObserver>(std::move(routes),
-                                                   &classes_.back().encoder);
-  sink_->add_observer(tap_.get());
 }
 
 void FanInSender::deliver(const Packet& packet, unsigned k) {
@@ -311,16 +317,20 @@ void FanInSender::ship_epoch(bool send_close) {
   // payloads are droppable, so under kDropNewest the stream sheds exactly
   // the query class declared least important. A single class (all-default
   // priorities) makes every payload droppable — the pre-priority behavior.
+  // Within a class, shard by shard: flush_sink() returned, so every
+  // worker's writes to its encoders happen-before these reads.
   for (PriorityClass& cls : classes_) {
     const bool droppable = &cls == &classes_.back();
-    const std::vector<std::vector<std::uint8_t>> chunks =
-        cls.encoder.finish_chunked(config_.max_frame_records);
-    for (const std::vector<std::uint8_t>& chunk : chunks) {
-      const std::vector<std::uint8_t> frame = writer_.make_payload(chunk);
-      if (write_frame(frame, droppable)) {
-        ++frames_shipped_;
-      } else {
-        writer_.payload_dropped();
+    for (ShardEncoder& shard : cls.shards) {
+      const std::vector<std::vector<std::uint8_t>> chunks =
+          shard.encoder.finish_chunked(config_.max_frame_records);
+      for (const std::vector<std::uint8_t>& chunk : chunks) {
+        const std::vector<std::uint8_t> frame = writer_.make_payload(chunk);
+        if (write_frame(frame, droppable)) {
+          ++frames_shipped_;
+        } else {
+          writer_.payload_dropped();
+        }
       }
     }
   }

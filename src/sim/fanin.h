@@ -6,8 +6,9 @@
 /// when one host cannot absorb the digest stream, the Recording Module is
 /// split across several sink hosts, each homed to a disjoint set of flows
 /// (in a datacenter fan-in topology, a collector per ToR/pod). Every sink
-/// decodes locally, serializes its observer stream with the report codec
-/// (pint/report_codec.h), and ships it through a byte stream
+/// decodes locally, each of its shards serializes its own observer stream
+/// with the report codec (pint/report_codec.h), and the sink ships them
+/// through one byte stream
 /// (transport/stream.h) under epoch/sequence framing (pint/frame.h):
 ///
 ///   sink 1: ShardedSink -> codec -> frames -> stream --+
@@ -37,9 +38,10 @@
 ///    `FanInPipeline::epoch_report()` (a SinkReport with TransportCounters).
 ///    Only frames of the *lowest-priority* query class are droppable
 ///    (QuerySpec::priority): each epoch ships one self-contained record
-///    stream per priority class, highest first, and higher classes always
-///    take the blocking path. All-default priorities collapse to a single
-///    class — the pre-priority frame stream, byte-identical.
+///    stream per priority class and shard, highest class first, and
+///    higher classes always take the blocking path. All-default priorities
+///    collapse to a single class — with one shard, the pre-priority frame
+///    stream, byte-identical.
 ///
 /// Flows are routed to sinks by the same coarsest-common flow partition the
 /// shards use, so every per-flow recorder lives at exactly one (sink, shard)
@@ -56,6 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/cacheline.h"
 #include "packet/packet.h"
 #include "pint/frame.h"
 #include "pint/framework.h"
@@ -219,13 +222,26 @@ class FanInCollector final : public StreamIngest {
   std::uint64_t frames_ingested_ = 0;
 };
 
-/// The sending half of one sink host: a ShardedSink, the priority-class
-/// encoders, and the epoch/frame shipping state machine, writing into any
-/// ByteStream. This is the piece a real deployment runs *in the sink
-/// process* — the fork-based integration test (tests/daemon_test.cc) runs
-/// exactly this class in child processes over a SocketSenderStream, so
-/// the cross-process path exercises the same shipping code (priority
-/// order, droppability, drop accounting) as the in-process pipeline.
+/// The sending half of one sink host: a ShardedSink, the shard-local
+/// priority-class encoders, and the epoch/frame shipping state machine,
+/// writing into any ByteStream. This is the piece a real deployment runs
+/// *in the sink process* — the fork-based integration test
+/// (tests/daemon_test.cc) runs exactly this class in child processes over a
+/// SocketSenderStream, so the cross-process path exercises the same
+/// shipping code (priority order, droppability, drop accounting) as the
+/// in-process pipeline.
+///
+/// Encoding is shard-local: each shard worker feeds its own routing tap
+/// and its own per-class ReportEncoders through
+/// `ShardedSink::add_shard_observer`, so no lock is taken per record. The
+/// encoders are read only by `ship_epoch()`, after `ShardedSink::flush()`
+/// has returned — the happens-before that orders every worker's last
+/// `add` before `finish_chunked`; the next `submit()` hands the reset
+/// encoders back to the workers. An epoch ships class-major (highest
+/// priority first), then shard by shard within a class, all under the one
+/// FrameWriter and source id. A flow lives on one shard, so its records
+/// keep their order; only the interleaving across shards differs from a
+/// single shard's stream.
 class FanInSender {
  public:
   struct Config {
@@ -256,9 +272,9 @@ class FanInSender {
   /// sink's staging. No-op once closed.
   void deliver(const Packet& packet, unsigned k);
 
-  /// Closes out one reporting epoch: flushes the sink, splits the pending
-  /// observer stream into framed payload buffers per priority class, and
-  /// ships them under an epoch-open/close bracket, applying the
+  /// Closes out one reporting epoch: flushes the sink, splits each shard's
+  /// pending observer stream into framed payload buffers per priority
+  /// class, and ships them under an epoch-open/close bracket, applying the
   /// backpressure policy. `send_close=false` ships the open and payloads
   /// but no close marker — the mid-epoch-death half of fault injection.
   void ship_epoch(bool send_close = true);
@@ -280,15 +296,21 @@ class FanInSender {
   std::uint64_t blocked_waits() const { return blocked_waits_; }
 
  private:
-  /// One priority class's pending observer stream. Classes ship in
-  /// descending priority order inside each epoch, and only the lowest
-  /// class's payload frames are droppable under kDropNewest — so under
-  /// pressure the stream sheds exactly the traffic the queries declared
-  /// least important. With all-default priorities there is a single class
-  /// and the frame stream is byte-identical to the pre-priority layout.
+  /// One shard's encoder for one class, on its own cache lines: the
+  /// encoders of different shards are written by different workers.
+  struct alignas(kCacheLineBytes) ShardEncoder {
+    ReportEncoder encoder;
+  };
+
+  /// One priority class's pending observer streams, one per shard. Classes
+  /// ship in descending priority order inside each epoch, and only the
+  /// lowest class's payload frames are droppable under kDropNewest — so
+  /// under pressure the stream sheds exactly the traffic the queries
+  /// declared least important. With all-default priorities and one shard
+  /// there is a single stream, byte-identical to the pre-priority layout.
   struct PriorityClass {
     unsigned priority = 1;
-    ReportEncoder encoder;
+    std::vector<ShardEncoder> shards;  ///< index = shard
   };
 
   void submit_staged(unsigned k);
@@ -300,9 +322,9 @@ class FanInSender {
   Config config_;
   std::unique_ptr<ShardedSink> sink_;
   // Descending priority; addresses are stable after construction (the
-  // routing tap holds pointers into it).
+  // routing taps hold pointers into it).
   std::vector<PriorityClass> classes_;
-  std::unique_ptr<SinkObserver> tap_;
+  std::vector<std::unique_ptr<SinkObserver>> taps_;  // one per shard
   FrameWriter writer_;
   std::unique_ptr<ByteStream> stream_;
   std::function<void()> on_block_;

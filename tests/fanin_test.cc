@@ -3,9 +3,10 @@
 // Load-bearing checks: (1) over both stream implementations (SPSC ring and
 // unix socketpair), at 1/2/4 sinks x 1/2/4 shards, the collector's merged
 // record stream is byte-identical to the monolithic sink's when no frames
-// are dropped; (2) drop-newest backpressure reports exact dropped-frame
-// counts (writer counter == receiver sequence gaps == SinkReport
-// TransportCounters); (3) a source killed mid-epoch is reported as an
+// are dropped, and each flow's records arrive in monolithic order; (2)
+// drop-newest backpressure reports exact dropped-frame counts (writer
+// counter == receiver sequence gaps == SinkReport TransportCounters), at
+// one shard and at several; (3) a source killed mid-epoch is reported as an
 // incomplete epoch while the surviving sources keep decoding; (4) the
 // original end-to-end simulator path still matches the monolithic sink.
 #include <gtest/gtest.h>
@@ -81,6 +82,27 @@ std::vector<std::uint8_t> canonical_bytes(
     }
   }
   return enc.finish();
+}
+
+// Each flow's records in arrival order, encoded per flow (flow index from
+// the packet id, as make_encoded_traffic numbers them). Sharding and
+// fan-in may interleave flows differently, but a flow lives on one
+// (sink, shard), so its own record sequence must match the monolithic
+// sink's exactly — no sort applied.
+std::map<std::size_t, std::vector<std::uint8_t>> per_flow_streams(
+    const std::vector<RecordingObserver::Rec>& records, std::size_t flows) {
+  std::map<std::size_t, ReportEncoder> encoders;
+  for (const auto& rec : records) {
+    ReportEncoder& enc = encoders[(rec.ctx.packet_id - 1) % flows];
+    if (rec.path_event) {
+      enc.add_path(rec.ctx, rec.query, rec.path);
+    } else {
+      enc.add(rec.ctx, rec.query, rec.obs);
+    }
+  }
+  std::map<std::size_t, std::vector<std::uint8_t>> out;
+  for (auto& [flow, enc] : encoders) out.emplace(flow, enc.finish());
+  return out;
 }
 
 PintFramework::Builder three_query_builder() {
@@ -168,6 +190,8 @@ TEST(FanIn, ByteIdenticalToMonolithicAcrossStreamsSinksShards) {
   const std::vector<std::uint8_t> mono_bytes =
       canonical_bytes(mono_records.records);
   ASSERT_FALSE(mono_bytes.empty());
+  const auto mono_flows = per_flow_streams(mono_records.records, kFlows);
+  ASSERT_EQ(mono_flows.size(), kFlows);
 
   for (const StreamKind stream :
        {StreamKind::kSpscRing, StreamKind::kSocketPair}) {
@@ -209,6 +233,10 @@ TEST(FanIn, ByteIdenticalToMonolithicAcrossStreamsSinksShards) {
           EXPECT_EQ(status->epochs_completed, 3u) << label << " sink " << s;
           EXPECT_TRUE(status->ended) << label;
         }
+        // Per-flow order first, on the stream as it arrived...
+        EXPECT_TRUE(per_flow_streams(central.records, kFlows) == mono_flows)
+            << label << ": a flow's records arrived out of monolithic order";
+        // ...then the whole record set, canonically sorted.
         EXPECT_EQ(canonical_bytes(central.records), mono_bytes) << label;
       }
     }
@@ -224,47 +252,53 @@ TEST(FanIn, DropNewestReportsExactDropCounts) {
   const std::vector<Packet> packets = make_encoded_traffic();
   const auto builder = three_query_builder();
 
-  FanInConfig cfg;
-  cfg.num_sinks = 2;
-  cfg.shards_per_sink = 1;
-  cfg.batch_size = 64;
-  cfg.stream = StreamKind::kSpscRing;
-  cfg.backpressure = BackpressurePolicy::kDropNewest;
-  cfg.stream_capacity_bytes = 8192;  // holds only a few frames
-  cfg.max_frame_records = 64;
-  FanInPipeline pipeline(builder, cfg);
-  CountingObserver central;
-  pipeline.collector().add_observer(&central);
+  // One shard ships one record stream per epoch; three ship one stream per
+  // shard, back to back under the same source — the exact accounting must
+  // hold for both layouts.
+  for (const unsigned shards : {1u, 3u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    FanInConfig cfg;
+    cfg.num_sinks = 2;
+    cfg.shards_per_sink = shards;
+    cfg.batch_size = 64;
+    cfg.stream = StreamKind::kSpscRing;
+    cfg.backpressure = BackpressurePolicy::kDropNewest;
+    cfg.stream_capacity_bytes = 8192;  // holds only a few frames
+    cfg.max_frame_records = 64;
+    FanInPipeline pipeline(builder, cfg);
+    CountingObserver central;
+    pipeline.collector().add_observer(&central);
 
-  for (const Packet& packet : packets) pipeline.deliver(packet, kHops);
-  pipeline.ship_epoch();
-  pipeline.shutdown();
+    for (const Packet& packet : packets) pipeline.deliver(packet, kHops);
+    pipeline.ship_epoch();
+    pipeline.shutdown();
 
-  const SinkReport report = pipeline.epoch_report();
-  ASSERT_TRUE(report.transport.active);
-  EXPECT_GT(report.transport.frames_dropped, 0u)
-      << "config did not force drops; shrink the ring";
-  // Writer-side drop count == receiver-side missing-frame count.
-  std::uint64_t missed = 0;
-  std::uint64_t payload_frames = 0;
-  for (unsigned s = 0; s < pipeline.num_sinks(); ++s) {
-    const auto* status =
-        pipeline.collector().source_status(pipeline.source_id(s));
-    ASSERT_NE(status, nullptr);
-    missed += status->frames_missed;
-    payload_frames += status->payload_frames;
-    // Deliberate drops are reconciled by the close marker: epochs close
-    // as complete, with the loss explicit in the counters instead.
-    EXPECT_EQ(status->epochs_incomplete, 0u) << "sink " << s;
-  }
-  EXPECT_EQ(missed, report.transport.frames_dropped);
-  EXPECT_EQ(payload_frames, report.transport.frames_shipped);
-  // What did arrive decoded fine (partial delivery, not corruption): the
-  // only frame-layer events are the sequence gaps the drops created.
-  EXPECT_GT(central.observations, 0u);
-  EXPECT_GT(pipeline.collector().errors_total(), 0u);
-  for (const FrameError& error : pipeline.collector().errors()) {
-    EXPECT_EQ(error.code, FrameErrorCode::kSequenceGap);
+    const SinkReport report = pipeline.epoch_report();
+    ASSERT_TRUE(report.transport.active);
+    EXPECT_GT(report.transport.frames_dropped, 0u)
+        << "config did not force drops; shrink the ring";
+    // Writer-side drop count == receiver-side missing-frame count.
+    std::uint64_t missed = 0;
+    std::uint64_t payload_frames = 0;
+    for (unsigned s = 0; s < pipeline.num_sinks(); ++s) {
+      const auto* status =
+          pipeline.collector().source_status(pipeline.source_id(s));
+      ASSERT_NE(status, nullptr);
+      missed += status->frames_missed;
+      payload_frames += status->payload_frames;
+      // Deliberate drops are reconciled by the close marker: epochs close
+      // as complete, with the loss explicit in the counters instead.
+      EXPECT_EQ(status->epochs_incomplete, 0u) << "sink " << s;
+    }
+    EXPECT_EQ(missed, report.transport.frames_dropped);
+    EXPECT_EQ(payload_frames, report.transport.frames_shipped);
+    // What did arrive decoded fine (partial delivery, not corruption): the
+    // only frame-layer events are the sequence gaps the drops created.
+    EXPECT_GT(central.observations, 0u);
+    EXPECT_GT(pipeline.collector().errors_total(), 0u);
+    for (const FrameError& error : pipeline.collector().errors()) {
+      EXPECT_EQ(error.code, FrameErrorCode::kSequenceGap);
+    }
   }
 }
 
@@ -339,54 +373,59 @@ TEST(FanIn, PriorityClassesShedOnlyLowestClassUnderDrops) {
     }
     return enc.finish();
   };
-  {
-    FanInConfig cfg;
-    cfg.num_sinks = 2;
-    cfg.shards_per_sink = 1;
-    cfg.batch_size = 64;
-    cfg.stream = StreamKind::kSpscRing;
-    cfg.max_frame_records = 64;
-    FanInPipeline pipeline(prioritized_builder, cfg);
-    RecordingObserver central;
-    pipeline.collector().add_observer(&central);
-    for (const Packet& packet : packets) pipeline.deliver(packet, kHops);
-    pipeline.ship_epoch();
-    pipeline.shutdown();
-    EXPECT_EQ(pipeline.transport_counters().frames_dropped, 0u);
-    EXPECT_EQ(per_query_bytes(central.records),
-              per_query_bytes(mono_records.records));
-  }
+  // Both checks at one shard and at three: class-major, shard-minor
+  // shipping must still merge losslessly and shed only the lowest class.
+  for (const unsigned shards : {1u, 3u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    {
+      FanInConfig cfg;
+      cfg.num_sinks = 2;
+      cfg.shards_per_sink = shards;
+      cfg.batch_size = 64;
+      cfg.stream = StreamKind::kSpscRing;
+      cfg.max_frame_records = 64;
+      FanInPipeline pipeline(prioritized_builder, cfg);
+      RecordingObserver central;
+      pipeline.collector().add_observer(&central);
+      for (const Packet& packet : packets) pipeline.deliver(packet, kHops);
+      pipeline.ship_epoch();
+      pipeline.shutdown();
+      EXPECT_EQ(pipeline.transport_counters().frames_dropped, 0u);
+      EXPECT_EQ(per_query_bytes(central.records),
+                per_query_bytes(mono_records.records));
+    }
 
-  // Starved ring: drops are forced, and they land exclusively on the
-  // lowest class.
-  {
-    FanInConfig cfg;
-    cfg.num_sinks = 2;
-    cfg.shards_per_sink = 1;
-    cfg.batch_size = 64;
-    cfg.stream = StreamKind::kSpscRing;
-    cfg.backpressure = BackpressurePolicy::kDropNewest;
-    cfg.stream_capacity_bytes = 8192;  // holds only a few frames
-    cfg.max_frame_records = 64;
-    FanInPipeline pipeline(prioritized_builder, cfg);
-    RecordingObserver central;
-    pipeline.collector().add_observer(&central);
-    for (const Packet& packet : packets) pipeline.deliver(packet, kHops);
-    pipeline.ship_epoch();
-    pipeline.shutdown();
+    // Starved ring: drops are forced, and they land exclusively on the
+    // lowest class.
+    {
+      FanInConfig cfg;
+      cfg.num_sinks = 2;
+      cfg.shards_per_sink = shards;
+      cfg.batch_size = 64;
+      cfg.stream = StreamKind::kSpscRing;
+      cfg.backpressure = BackpressurePolicy::kDropNewest;
+      cfg.stream_capacity_bytes = 8192;  // holds only a few frames
+      cfg.max_frame_records = 64;
+      FanInPipeline pipeline(prioritized_builder, cfg);
+      RecordingObserver central;
+      pipeline.collector().add_observer(&central);
+      for (const Packet& packet : packets) pipeline.deliver(packet, kHops);
+      pipeline.ship_epoch();
+      pipeline.shutdown();
 
-    const SinkReport report = pipeline.epoch_report();
-    ASSERT_TRUE(report.transport.active);
-    EXPECT_GT(report.transport.frames_dropped, 0u)
-        << "config did not force drops; shrink the ring";
-    std::map<std::string, std::size_t> got_counts;
-    for (const auto& rec : central.records) ++got_counts[rec.query];
-    // The high class is loss-free even while the ring sheds...
-    EXPECT_EQ(got_counts["hpcc"], mono_counts["hpcc"]);
-    // ...so every missing record belongs to the droppable (minimum
-    // priority) class.
-    EXPECT_LT(got_counts["path"] + got_counts["latency"],
-              mono_counts["path"] + mono_counts["latency"]);
+      const SinkReport report = pipeline.epoch_report();
+      ASSERT_TRUE(report.transport.active);
+      EXPECT_GT(report.transport.frames_dropped, 0u)
+          << "config did not force drops; shrink the ring";
+      std::map<std::string, std::size_t> got_counts;
+      for (const auto& rec : central.records) ++got_counts[rec.query];
+      // The high class is loss-free even while the ring sheds...
+      EXPECT_EQ(got_counts["hpcc"], mono_counts["hpcc"]);
+      // ...so every missing record belongs to the droppable (minimum
+      // priority) class.
+      EXPECT_LT(got_counts["path"] + got_counts["latency"],
+                mono_counts["path"] + mono_counts["latency"]);
+    }
   }
 }
 

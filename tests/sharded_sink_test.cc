@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -413,6 +414,105 @@ TEST(ShardedSink, SubmitRejectsMismatchedReportBuffer) {
   sink.submit(packets, kHops, right);
   sink.flush();
   EXPECT_EQ(sink.packets_processed(), packets.size());
+}
+
+// Per-shard hooks are the lock-free merge point: each sees exactly its own
+// shard's flows, on one worker thread (plain, non-atomic state — TSAN
+// would flag any second writer), and together they see every event.
+TEST(ShardedSink, ShardObserversSeeOnlyTheirShardOnItsWorker) {
+  const std::vector<Packet> packets = make_encoded_traffic();
+  const auto builder = three_query_builder();
+
+  const auto baseline = builder.build_or_throw();
+  CountingObserver reference;
+  baseline->add_observer(&reference);
+  baseline->at_sink(std::span<const Packet>(packets), kHops);
+
+  struct ShardTap : SinkObserver {
+    const ShardedSink* sink = nullptr;
+    unsigned shard = 0;
+    std::uint64_t events = 0;
+    std::uint64_t foreign = 0;  // events of flows another shard owns
+    std::vector<std::thread::id> threads;
+
+    void note(const SinkContext& ctx) {
+      ++events;
+      const std::size_t flow = (ctx.packet_id - 1) % kFlows;
+      if (sink->shard_of(tuple_of_flow(flow)) != shard) ++foreign;
+      const std::thread::id self = std::this_thread::get_id();
+      if (threads.empty() || threads.back() != self) threads.push_back(self);
+    }
+    void on_observation(const SinkContext& ctx, std::string_view,
+                        const Observation&) override {
+      note(ctx);
+    }
+    void on_path_decoded(const SinkContext& ctx, std::string_view,
+                         const std::vector<SwitchId>&) override {
+      note(ctx);
+    }
+  };
+
+  constexpr unsigned kShards = 3;
+  ShardedSink sink(builder, kShards);
+  std::vector<ShardTap> taps(kShards);
+  for (unsigned s = 0; s < kShards; ++s) {
+    taps[s].sink = &sink;
+    taps[s].shard = s;
+    sink.add_shard_observer(s, &taps[s]);
+  }
+  const std::size_t half = packets.size() / 2;
+  const std::span<const Packet> all(packets);
+  sink.submit(all.first(half), kHops);
+  sink.submit(all.subspan(half), kHops);
+  sink.flush();
+
+  std::uint64_t total = 0;
+  for (unsigned s = 0; s < kShards; ++s) {
+    EXPECT_GT(taps[s].events, 0u) << "shard " << s;
+    EXPECT_EQ(taps[s].foreign, 0u) << "shard " << s;
+    ASSERT_EQ(taps[s].threads.size(), 1u) << "shard " << s;
+    EXPECT_NE(taps[s].threads[0], std::this_thread::get_id());
+    for (unsigned o = 0; o < s; ++o) {
+      EXPECT_NE(taps[s].threads[0], taps[o].threads[0]);
+    }
+    total += taps[s].events;
+  }
+  EXPECT_EQ(total, reference.observations.load() +
+                       reference.paths_decoded.load());
+}
+
+// Registration closes at the first submit(): the workers read the replicas'
+// observer lists unlocked, so a late add would be a data race. Both hooks
+// refuse it loudly, and the observers registered in time keep working.
+TEST(ShardedSink, ObserverRegistrationClosesAtFirstSubmit) {
+  const std::vector<Packet> packets = make_encoded_traffic();
+  const auto builder = three_query_builder();
+
+  const auto baseline = builder.build_or_throw();
+  CountingObserver reference;
+  baseline->add_observer(&reference);
+  baseline->at_sink(std::span<const Packet>(packets), kHops);
+
+  ShardedSink sink(builder, 2);
+  CountingObserver wide;
+  CountingObserver local;
+  sink.add_observer(&wide);
+  sink.add_shard_observer(1, &local);
+  EXPECT_THROW(sink.add_shard_observer(2, &local), std::out_of_range);
+
+  sink.submit(packets, kHops);
+  CountingObserver late;
+  EXPECT_THROW(sink.add_observer(&late), std::logic_error);
+  EXPECT_THROW(sink.add_shard_observer(0, &late), std::logic_error);
+  sink.flush();
+  // Still closed once quiescent: registration is a setup-time step.
+  EXPECT_THROW(sink.add_observer(&late), std::logic_error);
+
+  EXPECT_EQ(wide.observations.load(), reference.observations.load());
+  EXPECT_EQ(wide.paths_decoded.load(), reference.paths_decoded.load());
+  EXPECT_GT(local.observations.load(), 0u);
+  EXPECT_LT(local.observations.load(), reference.observations.load());
+  EXPECT_EQ(late.observations.load() + late.paths_decoded.load(), 0u);
 }
 
 }  // namespace
