@@ -2,19 +2,16 @@
 // at_switch -> ShardedSink -> report codec -> framed fan-in -> observers,
 // across the PR's optimization axes:
 //
-//   * observer delivery: synchronous (the pre-PR path) vs async relay
-//     (Builder::async_observers) under kBlock and kDropNewest;
 //   * Recording-Module allocation: slab arena on vs off;
 //   * decode: materializing decode()+dispatch vs zero-copy streaming
 //     dispatch() (stage micro-benchmark);
 //   * RecordingStore churn: arena on vs off (stage micro-benchmark).
 //
-// `pipeline_sync_heap_*` is the pre-PR configuration (synchronous
-// observers, heap-backed stores) kept runnable behind toggles, so
-// before/after is measured by one binary on one machine. Two correctness
-// gates run inside the bench: lossless configs must produce fan-in output
-// canonically byte-identical to a monolithic sink, and drop-newest
-// configs must account for every shed event exactly.
+// `pipeline_sync_heap_*` is the pre-PR configuration (heap-backed stores)
+// kept runnable behind a toggle, so before/after is measured by one binary
+// on one machine. One correctness gate runs inside the bench: every config
+// must deliver every observer event and produce fan-in output canonically
+// byte-identical to a monolithic sink.
 //
 // Results print as rows and, with --json=PATH or PINT_BENCH_JSON, land in
 // the bench-json schema for tools/check_bench_regression.py (see
@@ -187,17 +184,13 @@ std::vector<std::uint8_t> canonical_bytes(
 struct PipelineConfig {
   std::string name;
   bool arena = true;
-  std::size_t async_depth = 0;  // 0 = sync
-  OverflowPolicy policy = OverflowPolicy::kBlock;
   unsigned observer_work = 0;
   unsigned shards = 2;
-  unsigned relay_threads = 1;  // async only; clamped to shard count
 };
 
 struct PipelineRun {
   double pps = 0;
   std::uint64_t sink_events = 0;     // delivered to sink-side observers
-  std::uint64_t sink_drops = 0;      // shed by kDropNewest
   std::uint64_t fanin_records = 0;   // records the collector replayed
   std::vector<std::uint8_t> canonical;  // fan-in output, canonicalized
 };
@@ -206,9 +199,6 @@ struct PipelineRun {
 PipelineRun run_pipeline(const Workload& w, const PipelineConfig& cfg) {
   auto builder = three_query_builder();
   builder.recording_arena(cfg.arena);
-  if (cfg.async_depth > 0) {
-    builder.async_observers(cfg.async_depth, cfg.policy, cfg.relay_threads);
-  }
 
   ShardedSink sink(builder, cfg.shards);
   DashboardObserver dashboard;
@@ -251,8 +241,6 @@ PipelineRun run_pipeline(const Workload& w, const PipelineConfig& cfg) {
   PipelineRun run;
   run.pps = static_cast<double>(packets.size()) / dt.count();
   run.sink_events = dashboard.events;
-  const TransportCounters t = sink.observer_counters();
-  run.sink_drops = t.observer_drops;
   run.fanin_records = collector.records_ingested();
   run.canonical = canonical_bytes(std::move(collected.records));
   return run;
@@ -429,122 +417,59 @@ int run(int argc, char** argv) {
   // The measured matrix. *_heavy configs model an expensive sink-side
   // observer (dashboard/detector); pipeline_sync_heap_* is the pre-PR
   // shape (before), the rest are this PR's configurations (after).
-  //
-  // Async depth: with the chunked relay transport the ring depth is an
-  // in-flight *event budget*, not a per-event handshake count. 1024 events
-  // is barely two submit bursts (~2 x 512 packets x ~2 events/packet), so
-  // on hosts with fewer cores than threads the producer and relay are
-  // forced into lockstep — each runs for one burst, blocks, and yields.
-  // kAsyncDepth gives both sides several bursts of runway between context
-  // switches; at ~136 B/event it bounds in-flight memory at ~2 MiB/shard.
-  constexpr std::size_t kAsyncDepth = 16384;
   const std::vector<PipelineConfig> configs = {
-      {"pipeline_sync_heap_light", /*arena=*/false, 0, OverflowPolicy::kBlock,
-       0},
-      {"pipeline_arena_light", /*arena=*/true, 0, OverflowPolicy::kBlock, 0},
-      {"pipeline_async_block_light", /*arena=*/true, kAsyncDepth,
-       OverflowPolicy::kBlock, 0},
-      {"pipeline_sync_heap_heavy", /*arena=*/false, 0, OverflowPolicy::kBlock,
-       kHeavyWork},
-      {"pipeline_arena_heavy", /*arena=*/true, 0, OverflowPolicy::kBlock,
-       kHeavyWork},
-      {"pipeline_async_block_heavy", /*arena=*/true, kAsyncDepth,
-       OverflowPolicy::kBlock, kHeavyWork},
-      {"pipeline_async_drop_heavy", /*arena=*/true, 256,
-       OverflowPolicy::kDropNewest, kHeavyWork},
+      {"pipeline_sync_heap_light", /*arena=*/false, 0},
+      {"pipeline_arena_light", /*arena=*/true, 0},
+      {"pipeline_sync_heap_heavy", /*arena=*/false, kHeavyWork},
+      {"pipeline_arena_heavy", /*arena=*/true, kHeavyWork},
   };
-
-  std::uint64_t total_events = 0;  // lossless ground truth, set by 1st run
-  row("%-28s %14s %10s %10s", "config", "packets/s", "events", "drops");
-  const std::vector<PipelineRun> results = best_of_matrix(w, configs, reps);
-  for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-    const PipelineConfig& cfg = configs[ci];
-    const PipelineRun& result = results[ci];
-    row("%-28s %14.0f %10llu %10llu", cfg.name.c_str(), result.pps,
-        static_cast<unsigned long long>(result.sink_events),
-        static_cast<unsigned long long>(result.sink_drops));
-    json.add("bench_hotpath", cfg.name, "packets_per_sec", result.pps,
-             "pps");
-
-    const bool lossless = cfg.policy == OverflowPolicy::kBlock;
-    if (lossless) {
-      if (total_events == 0) total_events = result.sink_events;
-      // Gate 1: lossless fan-in output is byte-identical (canonicalized)
-      // to the monolithic sink, whatever the delivery/allocation mode.
-      if (result.canonical != reference) {
-        std::printf("GATE FAILED: %s fan-in output differs from monolithic\n",
-                    cfg.name.c_str());
-        return 1;
-      }
-      if (result.sink_events != total_events || result.sink_drops != 0) {
-        std::printf("GATE FAILED: %s lost observer events (%llu/%llu)\n",
-                    cfg.name.c_str(),
-                    static_cast<unsigned long long>(result.sink_events),
-                    static_cast<unsigned long long>(total_events));
-        return 1;
-      }
-    } else {
-      // Gate 2: drop-newest sheds, and accounts for every shed event.
-      if (result.sink_events + result.sink_drops != total_events) {
-        std::printf(
-            "GATE FAILED: %s drop accounting inexact "
-            "(%llu delivered + %llu dropped != %llu emitted)\n",
-            cfg.name.c_str(),
-            static_cast<unsigned long long>(result.sink_events),
-            static_cast<unsigned long long>(result.sink_drops),
-            static_cast<unsigned long long>(total_events));
-        return 1;
-      }
-    }
-  }
-  row("gates: fan-in identity OK, drop accounting exact OK");
-
-  // Relay/worker thread-scaling matrix: how the async transport behaves as
-  // the worker (shard) and relay pools grow. On a 1-core host every row is
-  // oversubscribed and the series documents scheduling overhead, not
-  // speedup — which is exactly why the numbers are keyed by host profile
-  // (see bench_json.h) and only ever compared within one profile. Runs in
-  // smoke mode too, so CI exercises the multi-relay construction paths.
-  header("thread scaling (async transport, kBlock)");
-  row("%-28s %14s %10s %10s", "config", "packets/s", "events", "drops");
+  // Worker thread-scaling matrix: how the sink behaves as the worker
+  // (shard) pool grows. On a 1-core host every row is oversubscribed and
+  // the series documents scheduling overhead, not speedup — which is
+  // exactly why the numbers are keyed by host profile (see bench_json.h)
+  // and only ever compared within one profile.
   std::vector<PipelineConfig> scaling;
   for (const unsigned workers : {1u, 2u, 4u, 8u}) {
     PipelineConfig cfg;
     cfg.name = "scale_workers_" + std::to_string(workers);
-    cfg.async_depth = kAsyncDepth;
     cfg.shards = workers;
     scaling.push_back(std::move(cfg));
   }
-  for (const unsigned relays : {1u, 2u, 4u, 8u}) {
-    // 8 shards so every relay count differs (relays are clamped to the
-    // shard count); scale_relays_1 intentionally duplicates
-    // scale_workers_8 as the series' shared anchor point.
-    PipelineConfig cfg;
-    cfg.name = "scale_relays_" + std::to_string(relays);
-    cfg.async_depth = kAsyncDepth;
-    cfg.shards = 8;
-    cfg.relay_threads = relays;
-    scaling.push_back(std::move(cfg));
-  }
-  const std::vector<PipelineRun> scaled = best_of_matrix(w, scaling, reps);
-  for (std::size_t ci = 0; ci < scaling.size(); ++ci) {
-    const PipelineRun& result = scaled[ci];
-    row("%-28s %14.0f %10llu %10llu", scaling[ci].name.c_str(), result.pps,
-        static_cast<unsigned long long>(result.sink_events),
-        static_cast<unsigned long long>(result.sink_drops));
-    json.add("bench_hotpath", scaling[ci].name, "packets_per_sec",
-             result.pps, "pps");
-    // All rows are lossless kBlock: whatever the thread topology, every
-    // emitted event must be delivered exactly once.
-    if (result.sink_events != total_events || result.sink_drops != 0) {
-      std::printf("GATE FAILED: %s lost observer events (%llu/%llu)\n",
-                  scaling[ci].name.c_str(),
-                  static_cast<unsigned long long>(result.sink_events),
-                  static_cast<unsigned long long>(total_events));
-      return 1;
+
+  // Gate: every config delivers every event (the first run sets the count)
+  // and its fan-in output is byte-identical (canonicalized) to the
+  // monolithic sink, whatever the allocation mode or worker count.
+  std::uint64_t total_events = 0;
+  const auto report = [&](const std::vector<PipelineConfig>& cfgs) {
+    row("%-28s %14s %10s", "config", "packets/s", "events");
+    const std::vector<PipelineRun> results = best_of_matrix(w, cfgs, reps);
+    for (std::size_t ci = 0; ci < cfgs.size(); ++ci) {
+      const PipelineConfig& cfg = cfgs[ci];
+      const PipelineRun& result = results[ci];
+      row("%-28s %14.0f %10llu", cfg.name.c_str(), result.pps,
+          static_cast<unsigned long long>(result.sink_events));
+      json.add("bench_hotpath", cfg.name, "packets_per_sec", result.pps,
+               "pps");
+      if (total_events == 0) total_events = result.sink_events;
+      if (result.canonical != reference) {
+        std::printf("GATE FAILED: %s fan-in output differs from monolithic\n",
+                    cfg.name.c_str());
+        return false;
+      }
+      if (result.sink_events != total_events) {
+        std::printf("GATE FAILED: %s lost observer events (%llu/%llu)\n",
+                    cfg.name.c_str(),
+                    static_cast<unsigned long long>(result.sink_events),
+                    static_cast<unsigned long long>(total_events));
+        return false;
+      }
     }
-  }
-  row("gate: thread-scaling delivery exact OK");
+    return true;
+  };
+  if (!report(configs)) return 1;
+  header("thread scaling (workers)");
+  if (!report(scaling)) return 1;
+  row("gate: fan-in identity and event delivery exact OK");
 
   header("stage micro-benchmarks");
   bench_decode_stage(w, reps, json);

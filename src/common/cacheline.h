@@ -5,13 +5,12 @@
 /// The sink pipeline's shared state falls into three classes, and the
 /// difference between them is the whole many-core story:
 ///
-///  * **Single-writer counters** (a shard worker's published/dropped
-///    totals, a relay thread's consumed total): one thread writes, others
-///    read rarely. Cheap — *unless* two different writers' counters share
+///  * **Single-writer counters** (a shard worker's processed total): one
+///    thread writes, others read rarely. Cheap — *unless* two different writers' counters share
 ///    a cache line, in which case every increment invalidates the other
 ///    writer's line (false sharing) and both cores stall on coherence
 ///    traffic that no algorithmic profile will ever show.
-///  * **Handshake flags** (queue head/tail indices, the relay
+///  * **Handshake flags** (queue head/tail indices, a worker's
 ///    sleep/notify state): written by one side, spun on by the other.
 ///    These must own their line outright, or the spinning side's reads
 ///    keep stealing the line from the writer.

@@ -119,17 +119,6 @@ PintFramework::Builder& PintFramework::Builder::memory_report_interval(
   return *this;
 }
 
-PintFramework::Builder& PintFramework::Builder::async_observers(
-    std::size_t depth, OverflowPolicy policy, unsigned relay_threads) {
-  if (relay_threads == 0) {
-    throw std::invalid_argument("async_observers needs >= 1 relay thread");
-  }
-  async_depth_ = depth;
-  async_policy_ = policy;
-  async_relay_threads_ = relay_threads;
-  return *this;
-}
-
 PintFramework::Builder& PintFramework::Builder::recording_arena(bool enabled) {
   recording_arena_ = enabled;
   return *this;

@@ -147,33 +147,6 @@ class PintFramework {
       return memory_report_interval_time_;
     }
 
-    /// Opt-in asynchronous observer delivery for ShardedSink: each shard
-    /// worker publishes observer events into a `depth`-deep SPSC ring
-    /// consumed by dedicated relay threads, so expensive observer
-    /// callbacks leave the packet path. `policy` decides what a full ring
-    /// does to the worker: kBlock (lossless, bounded-memory backpressure)
-    /// or kDropNewest (events dropped and counted exactly — see
-    /// `ShardedSink::observer_counters`). Per-shard event order is
-    /// preserved either way. `depth` 0 (the default) keeps the serialized
-    /// synchronous delivery. A plain PintFramework ignores this: its
-    /// observers always run inline in at_sink().
-    ///
-    /// `relay_threads` shards the relay stage itself: relay thread `t`
-    /// exclusively owns the rings of shards `s` with
-    /// `s % relay_threads == t`, so ring consumption stays single-consumer
-    /// while heavy observer work spreads across cores. Delivery to the
-    /// registered observers remains serialized (one event at a time, under
-    /// one mutex) regardless of the count, so observers never need to be
-    /// thread-safe and the default of 1 is behavior-identical to the
-    /// single-relay design. Values above the shard count are clamped —
-    /// a relay with no rings would be a no-op thread. 0 is invalid.
-    Builder& async_observers(std::size_t depth,
-                             OverflowPolicy policy = OverflowPolicy::kBlock,
-                             unsigned relay_threads = 1);
-    std::size_t async_observer_depth() const { return async_depth_; }
-    OverflowPolicy async_observer_policy() const { return async_policy_; }
-    unsigned async_relay_threads() const { return async_relay_threads_; }
-
     /// Whether Recording-Module stores draw their per-flow nodes from a
     /// slab arena (common/arena.h). On by default — fewer mallocs and
     /// better locality under eviction churn, with identical behavior and
@@ -229,9 +202,6 @@ class PintFramework {
     std::size_t memory_ceiling_ = 0;   // 0 = unbounded (seed behavior)
     std::uint64_t memory_report_interval_ = 0;  // 0 = no heartbeat
     std::chrono::nanoseconds memory_report_interval_time_{0};  // 0 = off
-    std::size_t async_depth_ = 0;  // 0 = synchronous observer delivery
-    OverflowPolicy async_policy_ = OverflowPolicy::kBlock;
-    unsigned async_relay_threads_ = 1;
     bool recording_arena_ = true;
     StorePolicyKind default_policy_ = StorePolicyKind::kLru;
     std::vector<std::uint64_t> universe_;

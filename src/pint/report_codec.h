@@ -48,7 +48,7 @@ struct StreamRecord {
 ///
 /// Not thread-safe: give each shard its own encoder
 /// (`ShardedSink::add_shard_observer`) or serialize access (ShardedSink's
-/// observer relay does). `finish()` resets the encoder for the next epoch,
+/// `add_observer` delivery does). `finish()` resets the encoder for the next epoch,
 /// so one encoder can emit a stream of buffers.
 class ReportEncoder {
  public:

@@ -17,15 +17,12 @@
 /// differs. The merged Inference-Module view routes each query to the shard
 /// that owns the flow.
 ///
-/// Cache-line discipline (see common/cacheline.h): every hot counter below
-/// is single-writer — shard workers own the publish/drop/processed
-/// totals, relay threads own the consumed totals — and each writer class
-/// starts on its own `alignas(kCacheLineBytes)` boundary, so per-thread
-/// accumulators are merged on read (observer_counters(),
-/// packets_processed()) instead of ping-ponging a shared line between
-/// writers. The multi-writer words (MPMC cursors, pending/queued, the
-/// sleep handshakes) are contended by design and get their own lines so
-/// that contention stays theirs alone.
+/// Cache-line discipline (see common/cacheline.h): each shard's worker-only
+/// counter starts on its own `alignas(kCacheLineBytes)` boundary and is
+/// merged on read (packets_processed()) instead of ping-ponging a shared
+/// line between workers. The multi-writer words (MPMC cursors,
+/// pending/queued, the sleep handshake) are contended by design and get
+/// their own lines so that contention stays theirs alone.
 #pragma once
 
 #include <atomic>
@@ -35,13 +32,11 @@
 #include <span>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cacheline.h"
 #include "common/mpmc_queue.h"
 #include "common/mutex.h"
-#include "common/spsc_queue.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "packet/flow.h"
@@ -80,55 +75,33 @@ std::optional<FlowDefinition> common_flow_partition(const PintFramework& fw);
 ///    returns.
 ///  * Observers registered through `add_shard_observer(s, o)` see only
 ///    shard `s`'s callbacks, invoked inline on that shard's worker thread
-///    with no lock taken (and never through the async relay below): the
-///    shard-local merge point. Each such observer's state is touched by
-///    exactly one worker, and `flush()` returning orders every callback of
-///    the flushed batches before the caller reads that state. This is how
-///    `FanInSender` encodes one report stream per shard in parallel.
-///  * Observers registered through `add_observer()` are invoked from shard
-///    worker threads but serialized under an internal mutex, so ordinary
-///    single-threaded observers (the `src/apps/` adapters) work unchanged.
-///    The mutex-taking relay is attached to the replicas only when the
-///    first such observer registers: a sink with none (per-shard hooks
-///    only) takes no lock per record.
-///    With `Builder::async_observers(depth, policy, relay_threads)` the
-///    callbacks instead leave the packet path entirely: each shard worker
-///    publishes events into a per-shard SPSC ring, and `relay_threads`
-///    dedicated relay threads deliver them (still serialized under one
-///    mutex, still per-shard FIFO). Relay thread `t` exclusively owns the
-///    rings of shards `s % relay_threads == t`, drains them in batches,
-///    and producers coalesce wakeups — at most one CV signal per relay
-///    sleep episode, not one per event. A full ring applies the explicit
-///    OverflowPolicy — kBlock (lossless backpressure with bounded
-///    exponential backoff) or kDropNewest (drop the event, count it
-///    exactly — see `observer_counters()`). Under kDropNewest only events
-///    of *sheddable* queries are dropped: those at the minimum registered
-///    QuerySpec::priority (with all-default priorities that is every query
-///    — the pre-priority behavior). Higher-priority events and memory
-///    reports (the operator's view of the shedding itself) instead take
-///    the blocking path, counted in `observer_blocked_waits`. Observers
-///    registered on the Builder itself bypass all of this and must be
-///    thread-safe — prefer `add_observer()` here.
-///  * `flush()` waits for every batch submitted *before* the call — and, in
-///    async-observer mode, for the relays to drain every event those
-///    batches published. Quiesce (join or barrier) producer threads first
-///    if "everything" must mean their batches too.
+///    with no lock taken: the shard-local merge point. Each such
+///    observer's state is touched by exactly one worker, and `flush()`
+///    returning orders every callback of the flushed batches before the
+///    caller reads that state. This is how `FanInSender` encodes one report
+///    stream per shard in parallel.
+///  * Observers registered through `add_observer()` are invoked inline on
+///    the shard workers but serialized under an internal mutex, so
+///    ordinary single-threaded observers (the `src/apps/` adapters) work
+///    unchanged; each flow's events arrive in the single-threaded sink's
+///    order. The mutex-taking forwarder is attached to the replicas only
+///    when the first such observer registers: a sink with none (per-shard
+///    hooks only) takes no lock per record. There is no off-path delivery
+///    here: observer work that must not slow the workers belongs behind a
+///    `FanInCollector` (sim/fanin.h), whose framing layer is also the one
+///    place overload is shed (by priority class). Observers registered on
+///    the Builder itself bypass all of this and must be thread-safe —
+///    prefer `add_observer()` here.
+///  * `flush()` waits for every batch submitted *before* the call, and so
+///    for every observer callback those batches made. Quiesce (join or
+///    barrier) producer threads first if "everything" must mean their
+///    batches too.
 ///  * The merged inference accessors and `shard()` must only be called when
 ///    the sink is quiescent (after `flush()`, before the next `submit()`).
 class ShardedSink {
  public:
   /// Batches a shard's MPMC queue can hold before submit() blocks.
   static constexpr std::size_t kDefaultQueueDepth = 256;
-
-  /// Upper bound on the events one transport chunk carries (= the events
-  /// delivered per observer-mutex acquisition, by the relay or by the
-  /// worker's inline fast path). Sized to swallow a full submit burst
-  /// (~a thousand events) so a worker that keeps up never seals
-  /// mid-batch — which is what keeps the inline-delivery proof alive.
-  /// The actual chunk capacity scales down with small ring depths so the
-  /// configured depth — not the chunk size — sets when backpressure
-  /// engages.
-  static constexpr std::size_t kEventChunkCapacity = 1024;
 
   /// Builds `num_shards` framework replicas and starts one worker per shard.
   ///
@@ -188,33 +161,6 @@ class ShardedSink {
   /// \throws std::logic_error once `submit()` has been called.
   void add_shard_observer(unsigned shard, SinkObserver* observer)
       PINT_EXCLUDES(observer_mutex_);
-
-  /// True when the Builder enabled `async_observers`.
-  bool async_observers() const { return async_mode_; }
-
-  /// Relay threads actually running: the Builder's `relay_threads` clamped
-  /// to the shard count (async mode), or 0 in sync mode.
-  unsigned relay_threads() const {
-    return static_cast<unsigned>(relays_.size());
-  }
-
-  /// Async observer-stage accounting (`active` only in async mode):
-  /// `observer_events` = events published to the relay rings (== events
-  /// delivered once `flush()` returns), `observer_drops` = events the
-  /// kDropNewest overflow policy refused (exact: published + dropped is
-  /// every event the shard frameworks emitted),
-  /// `observer_blocked_waits` = full-ring stalls a kBlock producer sat
-  /// through. Every term is a sum of single-writer per-thread counters —
-  /// merged here, on the read side. Safe to call any time; exact when
-  /// quiescent.
-  TransportCounters observer_counters() const;
-
-  /// Events each relay thread has delivered (index = relay id), for load
-  /// inspection. Sums to at most the published total: a shard worker that
-  /// stays ahead of its relay delivers inline itself (see
-  /// `flush_published`), and those events appear in no relay's count. Safe
-  /// any time; exact when quiescent. Empty in sync mode.
-  std::vector<std::uint64_t> relay_deliveries() const;
 
   unsigned num_shards() const {
     return static_cast<unsigned>(shards_.size());
@@ -282,159 +228,14 @@ class ShardedSink {
     unsigned k = 0;
   };
 
-  // One observer callback, captured for relay off the packet path. Query
-  // names point at the shard framework's registered specs (alive for the
-  // sink's lifetime); paths and memory reports are copied.
-  //
-  // Path events dominated the async overhead when this struct held a
-  // std::vector: every decoded path paid a malloc on the shard worker and
-  // a free on the relay (glibc's cross-thread-free slow path), per event.
-  // Typical paths now live inline in the event, and every byte here is
-  // deliberate: the transport writes and reads sizeof(ObserverEvent) per
-  // event, so struct size is directly memory traffic between the worker's
-  // and relay's cache footprints. The two rare payloads (a path deeper
-  // than the inline buffer, a memory-report copy) share one boxed pointer
-  // instead of carrying a vector and a unique_ptr each.
-  struct ObserverEvent {
-    enum class Kind : std::uint8_t { kObservation, kPath, kMemory };
-
-    /// Hop capacity of the inline path buffer (32 bytes — covers the 5–8
-    /// hop diameters PINT targets; deeper paths box into Overflow).
-    static constexpr std::size_t kInlinePathHops = 8;
-
-    /// Boxed cold payloads: at most one of the members is ever active
-    /// (a kPath event never carries a memory report and vice versa).
-    struct Overflow {
-      std::vector<SwitchId> path;
-      std::unique_ptr<MemoryReport> memory;
-    };
-
-    Kind kind = Kind::kObservation;
-    std::uint8_t path_len = 0;  // inline hops used (kPath, inline case)
-    // Deliberately not value-initialized: the worker assigns ctx for every
-    // observation/path event, and memory events never read it — zeroing it
-    // per emplace would be a dead store on the hot path. Same for `path`:
-    // only hops [0, path_len) are ever read.
-    SinkContext ctx;
-    std::string_view query{};
-    Observation obs{};
-    std::array<SwitchId, kInlinePathHops> path;  // inline hop storage
-    // Null for the overwhelming majority of events; see Overflow.
-    std::unique_ptr<Overflow> overflow{};
-
-    void set_path(const std::vector<SwitchId>& hops) {
-      if (hops.size() <= kInlinePathHops) {
-        path_len = static_cast<std::uint8_t>(hops.size());
-        std::copy(hops.begin(), hops.end(), path.begin());
-      } else {
-        overflow = std::make_unique<Overflow>();
-        overflow->path = hops;
-      }
-    }
-  };
-
-  // Unit of worker->relay transport: a reusable buffer of events, passed
-  // through the rings by owner pointer (see Shard::obs_ring).
-  using EventChunk = std::vector<ObserverEvent>;
-
-  struct Shard;
-
-  // One relay thread: exclusively drains the SPSC rings of the shards
-  // assigned to it at construction (`shards`, immutable afterwards — ring
-  // consumption stays single-consumer by construction, no lock needed).
-  struct RelayThread {
-    // Producer<->relay sleep handshake: shard workers load/CAS it, the
-    // relay stores it around its CV wait. Own cache line so the handshake
-    // word never collides with this relay's counters or a neighboring
-    // RelayThread in the owning vector.
-    alignas(kCacheLineBytes) std::atomic<WakeState> state{WakeState::kAwake};
-    // Single-writer (this relay) delivery total, merged on read by
-    // relay_deliveries(); own line so the relay's increments don't
-    // invalidate the producers' handshake line.
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> delivered{0};
-    // Cold / read-mostly tail. The mutex guards no plain data (the sleep
-    // predicate reads atomics): it exists so the CV sleep/notify pairs are
-    // race-free.
-    alignas(kCacheLineBytes) Mutex mutex;
-    CondVar wake;
-    std::vector<Shard*> shards;  // fixed at construction (ctor only)
-    // Reused bridge from an event's inline path buffer to the observer
-    // API's vector parameter: assign() into retained capacity, so inline
-    // path delivery allocates exactly once per relay lifetime.
-    std::vector<SwitchId> path_scratch;
-    std::thread thread;
-  };
-
   struct Shard {
     explicit Shard(std::size_t queue_depth) : queue(queue_depth) {}
 
     std::unique_ptr<PintFramework> fw;
     MpmcQueue<Batch> queue;  // multi-producer front-end, worker consumes
-    // Async observer transport (null in sync mode). Events travel in
-    // *chunks* — pointer-sized ring payloads — not one ring slot per
-    // event: the worker constructs each event exactly once, in place, in
-    // its open chunk, seals the chunk into obs_ring (an 8-byte move), and
-    // the relay delivers the whole chunk under one observer-mutex
-    // acquisition, then hands the emptied buffer back through obs_recycle.
-    // After warmup the event path touches the allocator zero times. The
-    // per-event ring this replaces paid four member-wise ObserverEvent
-    // moves per event (~100ns/event of pure memcpy and cell resets) — the
-    // dominant term in async-vs-sync on one core.
-    //
-    // The shard worker is the sole producer of obs_ring and sole consumer
-    // of obs_recycle; its relay (fixed at construction) is the reverse.
-    std::unique_ptr<SpscQueue<std::unique_ptr<EventChunk>>> obs_ring;
-    std::unique_ptr<SpscQueue<std::unique_ptr<EventChunk>>> obs_recycle;
-    RelayThread* relay = nullptr;
 
-    // -- shard-worker-written counters (single writer; others read) -----
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> obs_published{0};
-    std::atomic<std::uint64_t> obs_dropped{0};
-    std::atomic<std::uint64_t> obs_blocked{0};
-    std::atomic<std::uint64_t> processed{0};
-    // Events published (appended to the open chunk or sealed into the
-    // ring) but not yet added to obs_published: the worker accumulates
-    // here (plain, worker-thread-only) and folds into the atomic once per
-    // MPMC batch — the publish fast path touches no atomic counter at all.
-    // Folded before pending_batches is decremented, so flush()'s
-    // pending==0 wait orders every fold before its consumed-vs-published
-    // comparison.
-    std::uint64_t obs_batched = 0;
-    // Worker-only transport state (same single-writer sharing class as the
-    // counters above): the chunk being filled, and the per-chunk event
-    // capacity — min(kEventChunkCapacity, max(1, depth/4)), so small
-    // configured depths still mean "backpressure after ~depth events", not
-    // "after kEventChunkCapacity * ring slots".
-    std::unique_ptr<EventChunk> open_chunk;
-    std::size_t chunk_capacity = kEventChunkCapacity;
-    // Wake hysteresis (chunks): flush_published() only wakes the relay
-    // once the ring holds this many chunks (half its capacity). On few
-    // cores this is what keeps worker and relay from ping-ponging every
-    // batch — each runs a longer stretch with its working set (flow
-    // stores vs. observer/encoder state) resident. Liveness never
-    // depends on it: the blocked path, flush(), and the worker's
-    // going-idle path all wake unconditionally.
-    std::size_t wake_occupancy = 1;
-    // Worker-exact transport totals (plain: written and read only by the
-    // shard worker): events sealed into obs_ring, and events the worker
-    // delivered inline (flush_published()'s fast path). Their sum equals
-    // obs_consumed exactly when the relay has delivered every chunk this
-    // shard ever sealed and holds none in flight — the proof the inline
-    // path rests on.
-    std::uint64_t obs_sealed = 0;
-    std::uint64_t obs_inline = 0;
-    // Worker-side twin of RelayThread::path_scratch, for inline delivery.
-    std::vector<SwitchId> path_scratch;
-
-    // -- delivery total (relay-written; worker-written when provably
-    //    relay-idle) ----------------------------------------------------
-    // Not in the worker group above: the relay bumps it per delivered
-    // chunk, and sharing its line would put that bump in the worker's
-    // publish path (false sharing). The worker's inline-delivery path
-    // also bumps it, but only having proved consumed == sealed + inline —
-    // i.e. the relay has nothing left that could make it write — so the
-    // two writers never contend on the line.
-    alignas(kCacheLineBytes) std::atomic<std::uint64_t> obs_consumed{0};
+    // -- shard-worker-written counter (single writer; others read) -------
+    alignas(kCacheLineBytes) std::atomic<std::uint64_t> processed{0};
 
     // -- multi-writer coordination words (contended by design) ----------
     // queued counts published batches (sleep/wake signal): pushes that
@@ -464,62 +265,26 @@ class ShardedSink {
     std::thread worker;
   };
 
-  // Per-shard framework observer: forwards callbacks to observers_ under
-  // observer_mutex_ (sync mode) or publishes them to the shard's ring
-  // (async mode). Attached to the replicas by the first add_observer().
-  class ShardRelay;
+  // Framework observer that forwards every callback to observers_ under
+  // observer_mutex_. One instance serves every replica; the first
+  // add_observer() attaches it.
+  class SerializingObserver;
 
   // Throws std::logic_error once submit() has run (registration contract).
   void check_registration_open() const;
   void worker_loop(Shard& shard) PINT_EXCLUDES(observer_mutex_);
-  bool event_sheddable(ObserverEvent::Kind kind, std::string_view query) const;
-  // Admits one event into the shard's transport and returns the in-place
-  // slot for the caller (the shard worker) to fill — or nullptr when the
-  // transport is full and kDropNewest shed the event (already counted).
-  // Seals and pushes the open chunk when it reaches capacity, blocking
-  // with backoff for non-sheddable events under a full ring.
-  ObserverEvent* begin_publish(Shard& shard, ObserverEvent::Kind kind,
-                               std::string_view query);
-  // Pushes the (non-empty) open chunk into the ring and replaces it with a
-  // recycled or fresh buffer; false when the ring is full (chunk intact).
-  bool try_seal_open_chunk(Shard& shard);
-  // End-of-batch publish: folds obs_batched into obs_published and either
-  // delivers the open chunk inline (kBlock only, relay provably idle: one
-  // mutex acquisition while the events are still cache-hot, no ring
-  // round-trip) or seals it into the ring and wakes the relay. Called by
-  // the shard worker once per drained MPMC batch.
-  void flush_published(Shard& shard) PINT_EXCLUDES(observer_mutex_);
-  void deliver_event(const ObserverEvent& event,
-                     std::vector<SwitchId>& path_scratch)
-      PINT_REQUIRES(observer_mutex_);
-  void relay_loop(RelayThread& relay) PINT_EXCLUDES(observer_mutex_);
-  std::size_t drain_rings(RelayThread& relay) PINT_EXCLUDES(observer_mutex_);
   // Edge-coalesced CV signal: notifies only when it wins the
   // kSleeping -> kNotified transition (at most one mutex+notify per sleep
   // episode; see the .cc protocol comment).
-  static void try_wake(std::atomic<WakeState>& state, Mutex& mutex,
-                       CondVar& cv);
+  static void try_wake(Shard& shard);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   FlowDefinition partition_def_ = FlowDefinition::kFiveTuple;
-  // Priority shedding classes: query name -> whether its observer events
-  // are droppable under kDropNewest (priority == the minimum registered).
-  // Keys view shard 0's registered specs (alive for the sink's lifetime);
-  // lookups hash by content, so any shard's name views match. Immutable
-  // after construction, read from shard workers without a lock.
-  std::unordered_map<std::string_view, bool> sheddable_;
-  std::vector<std::unique_ptr<ShardRelay>> shard_relays_;
+  std::unique_ptr<SerializingObserver> serializer_;
   Mutex observer_mutex_;
   std::vector<SinkObserver*> observers_ PINT_GUARDED_BY(observer_mutex_);
   // Set by the first submit(); closes observer registration for good.
   std::atomic<bool> submitted_{false};
-  // Async observer stage. relays_ is fixed at construction (shard->relay
-  // assignment is immutable); relay_stop_ is the only cross-relay word and
-  // flips exactly once, in the destructor.
-  bool async_mode_ = false;
-  OverflowPolicy async_policy_ = OverflowPolicy::kBlock;
-  std::vector<std::unique_ptr<RelayThread>> relays_;
-  std::atomic<bool> relay_stop_{false};
 };
 
 }  // namespace pint

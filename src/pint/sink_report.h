@@ -72,15 +72,6 @@ struct MemoryCounters {
   bool operator==(const MemoryCounters&) const = default;
 };
 
-/// What a bounded stage does when its buffer cannot take the next item —
-/// BASEL-style explicit admission: the overflow behavior of the async
-/// observer ring (ShardedSink) is a specified policy, not an accident of
-/// queue growth. Mirrors the fan-in's BackpressurePolicy one layer down.
-enum class OverflowPolicy : std::uint8_t {
-  kBlock,       ///< the producer waits for the consumer (lossless)
-  kDropNewest,  ///< the new item is dropped and counted (bounded latency)
-};
-
 /// Fan-in transport accounting: what happened to the framed report stream
 /// between this pipeline's sinks and the collector. All-zeros
 /// (`active == false`) everywhere except reports stamped by a fan-in
@@ -88,23 +79,11 @@ enum class OverflowPolicy : std::uint8_t {
 /// `frames_dropped` counts payload frames the drop-newest backpressure
 /// policy refused to ship (BASEL-style: admission under pressure is an
 /// explicit, observable policy, not an accident of queue growth).
-///
-/// The `observer_*` fields account the async observer stage (ShardedSink
-/// with `Builder::async_observers`): events relayed off the packet path,
-/// and events the kDropNewest overflow policy refused — exact counts, so
-/// published + dropped equals every event the frameworks emitted.
 struct TransportCounters {
   std::uint64_t frames_shipped = 0;  ///< payload frames written to streams
   std::uint64_t frames_dropped = 0;  ///< payload frames dropped (drop-newest)
   std::uint64_t bytes_shipped = 0;   ///< framed bytes written to streams
   std::uint64_t blocked_waits = 0;   ///< writer stalls under kBlock policy
-  std::uint64_t observer_events = 0;  ///< events published to the relay ring
-  std::uint64_t observer_drops = 0;   ///< events dropped (kDropNewest ring)
-  /// Full-ring stalls async-observer producers sat through (kBlock) —
-  /// kept separate from `blocked_waits` so ring pressure (remedy: deeper
-  /// ring / cheaper observers) and stream pressure (remedy: larger
-  /// stream capacity) stay attributable.
-  std::uint64_t observer_blocked_waits = 0;
   /// Socket-sender connection re-establishments (daemon transport only;
   /// zero for in-process streams, which cannot lose a connection).
   std::uint64_t sender_reconnects = 0;

@@ -538,14 +538,6 @@ TransportCounters FanInPipeline::transport_counters() const {
     t.frames_dropped += sender->writer().frames_dropped();
     t.bytes_shipped += sender->bytes_shipped();
     t.blocked_waits += sender->blocked_waits();
-    // Async observer-stage accounting (zero when the sinks deliver
-    // synchronously) rides its own fields, so epoch_report() exposes the
-    // whole pipeline's admission behavior with stream-writer and
-    // observer-ring pressure separately attributable.
-    const TransportCounters obs = sender->sink().observer_counters();
-    t.observer_events += obs.observer_events;
-    t.observer_drops += obs.observer_drops;
-    t.observer_blocked_waits += obs.observer_blocked_waits;
   }
   for (const SocketSenderStream* s : socket_senders_) {
     t.sender_reconnects += s->reconnects();

@@ -1,6 +1,7 @@
 #include "transport/sender.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -60,6 +61,17 @@ void SocketSenderStream::start_connect() {
     ::close(fd_);
     fd_ = -1;
     throw TransportError(std::string("setsockopt(SO_SNDBUF): ") +
+                         std::strerror(err));
+  }
+  // Frames are small and latency-bound (an epoch-close frame right behind
+  // a payload must not wait out a delayed ACK), so disable Nagle.
+  const int nodelay = 1;
+  if (!unix_domain && ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                                   sizeof(nodelay)) != 0) {
+    const int err = errno;
+    ::close(fd_);
+    fd_ = -1;
+    throw TransportError(std::string("setsockopt(TCP_NODELAY): ") +
                          std::strerror(err));
   }
   int rc;

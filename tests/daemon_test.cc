@@ -10,7 +10,8 @@
 // boundary, with the shed frames counted exactly and the torn epoch typed
 // incomplete — never spliced; (4) FanInPipeline's daemon stream kinds
 // (listener thread + socket senders) match the monolithic baseline and
-// keep priority classes intact across the wire.
+// keep priority classes intact across the wire; (5) TCP senders disable
+// Nagle's algorithm.
 //
 // Fork discipline: the parent never spawns a thread before fork() — the
 // daemon is driven by poll_once() on the main thread — so these tests are
@@ -18,7 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +38,7 @@
 #include "pint/frame.h"
 #include "sim/fanin.h"
 #include "transport/collector_daemon.h"
+#include "transport/io_hooks.h"
 #include "transport/sender.h"
 
 namespace pint {
@@ -582,6 +587,55 @@ TEST(CollectorDaemon, RejectsSecondConnectionForLiveSource) {
       daemon, [&] { return collector.source_status(5)->ended; }, seconds(10));
   EXPECT_TRUE(collector.source_status(5)->ended);
   EXPECT_EQ(collector.source_status(5)->epochs_completed, 1u);
+}
+
+// Nagle's algorithm would hold a small epoch-close frame behind the payload
+// before it until the peer's delayed ACK (~40 ms on Linux). The send hook
+// reads TCP_NODELAY off the very fd the sender writes to, so no accessor
+// is needed.
+int g_nodelay_sends = 0;
+int g_nagle_sends = 0;
+
+ssize_t nodelay_probing_send(int fd, const void* buf, std::size_t len,
+                             int flags) {
+  int value = 0;
+  socklen_t size = sizeof(value);
+  ++g_nodelay_sends;
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &size) != 0 ||
+      value == 0) {
+    ++g_nagle_sends;
+  }
+  return ::send(fd, buf, len, flags);
+}
+
+TEST(SocketSender, TcpConnectionsDisableNagle) {
+  FanInCollector collector;
+  CollectorDaemonConfig dc;
+  dc.tcp = true;  // ephemeral port
+  CollectorDaemon daemon(collector, dc);
+
+  g_nodelay_sends = 0;
+  g_nagle_sends = 0;
+  ScopedIoHooks hooks({&nodelay_probing_send, io_hooks().recv});
+  SocketSenderConfig sc;
+  sc.tcp_port = daemon.tcp_port();
+  sc.source = 9;
+  SocketSenderStream sender(sc);
+  FrameWriter writer(9);
+  ASSERT_TRUE(write_retrying(sender, writer.make_open(), &daemon,
+                             seconds(10)));
+  ASSERT_TRUE(write_retrying(sender, writer.make_close(), &daemon,
+                             seconds(10)));
+  sender.close_write();
+  pump_until(
+      daemon,
+      [&] {
+        const auto* s = collector.source_status(9);
+        return s != nullptr && s->ended;
+      },
+      seconds(10));
+  EXPECT_GE(g_nodelay_sends, 2);
+  EXPECT_EQ(g_nagle_sends, 0);
 }
 
 // --- FanInPipeline daemon stream kinds ---------------------------------------

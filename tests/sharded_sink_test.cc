@@ -1,11 +1,13 @@
 // ShardedSink: the multi-threaded Recording Module must be externally
 // indistinguishable from the single-threaded sink. The load-bearing check is
 // byte-identical merged SinkReport streams for the paper's three-query mix
-// (Section 6.4) at several shard counts, plus merged-inference equality and
-// the flow-partition rules.
+// (Section 6.4) at several shard counts, plus merged-inference equality,
+// observer delivery (per-flow order, memory heartbeats) and the
+// flow-partition rules.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -101,15 +103,45 @@ std::vector<std::uint8_t> stream_bytes(std::span<const Packet> packets,
 struct CountingObserver : SinkObserver {
   std::atomic<std::uint64_t> observations{0};
   std::atomic<std::uint64_t> paths_decoded{0};
+  // Simulated per-event observer cost: FNV rounds into a plain field, which
+  // only a serialized (add_observer) registration may touch.
+  unsigned work = 0;
+  std::uint64_t acc = 0xcbf29ce484222325ULL;
 
-  void on_observation(const SinkContext&, std::string_view,
+  void burn(std::uint64_t seed) {
+    std::uint64_t h = acc ^ seed;
+    for (unsigned i = 0; i < work; ++i) h = (h ^ (h >> 29)) * 0x100000001B3ULL;
+    acc = h;
+  }
+  void on_observation(const SinkContext& ctx, std::string_view,
                       const Observation&) override {
     ++observations;
+    burn(ctx.packet_id);
   }
-  void on_path_decoded(const SinkContext&, std::string_view,
+  void on_path_decoded(const SinkContext& ctx, std::string_view,
                        const std::vector<SwitchId>&) override {
     ++paths_decoded;
+    burn(ctx.packet_id);
   }
+};
+
+// Each flow's event sequence in arrival order, plus the memory heartbeats.
+// Flows are recovered from packet ids (make_encoded_traffic's layout), so
+// per-packet queries group by flow too.
+struct FlowOrderObserver : SinkObserver {
+  std::map<std::size_t, std::vector<std::pair<PacketId, std::string>>> flows;
+  std::uint64_t memory_reports = 0;
+
+  void on_observation(const SinkContext& ctx, std::string_view query,
+                      const Observation&) override {
+    flows[(ctx.packet_id - 1) % kFlows].emplace_back(ctx.packet_id, query);
+  }
+  void on_path_decoded(const SinkContext& ctx, std::string_view query,
+                       const std::vector<SwitchId>&) override {
+    flows[(ctx.packet_id - 1) % kFlows].emplace_back(
+        ctx.packet_id, std::string(query) + "/path");
+  }
+  void on_memory_report(const MemoryReport&) override { ++memory_reports; }
 };
 
 TEST(ShardedSink, MergedReportsByteIdenticalToSingleThreaded) {
@@ -176,22 +208,38 @@ TEST(ShardedSink, MergedInferenceMatchesSingleThreaded) {
 }
 
 TEST(ShardedSink, SerializedObserversSeeEveryEvent) {
+  constexpr std::uint64_t kMemoryInterval = 100;
   const std::vector<Packet> packets = make_encoded_traffic();
-  const auto builder = three_query_builder();
+  auto builder = three_query_builder();
+  builder.memory_report_interval_packets(kMemoryInterval);
 
   const auto baseline = builder.build_or_throw();
-  CountingObserver reference;
+  FlowOrderObserver reference;
   baseline->add_observer(&reference);
   baseline->at_sink(std::span<const Packet>(packets), kHops);
+  ASSERT_EQ(reference.flows.size(), kFlows);
 
-  ShardedSink sink(builder, 4);
-  CountingObserver counter;
-  sink.add_observer(&counter);
-  sink.submit(packets, kHops);
-  sink.flush();
+  for (const unsigned shards : {2u, 4u}) {
+    ShardedSink sink(builder, shards);
+    FlowOrderObserver observer;
+    sink.add_observer(&observer);
+    sink.submit(packets, kHops);
+    sink.flush();
 
-  EXPECT_EQ(counter.observations.load(), reference.observations.load());
-  EXPECT_EQ(counter.paths_decoded.load(), reference.paths_decoded.load());
+    // Every event arrives, and each flow's in the monolithic order: shards
+    // interleave flows, never reorder one.
+    EXPECT_EQ(observer.flows, reference.flows) << shards << " shards";
+    // Memory heartbeats reach add_observer too: each replica reports once
+    // per kMemoryInterval of its own packets.
+    std::vector<std::uint64_t> shard_packets(shards);
+    for (const Packet& p : packets) ++shard_packets[sink.shard_of(p.tuple)];
+    std::uint64_t heartbeats = 0;
+    for (const std::uint64_t n : shard_packets) {
+      heartbeats += n / kMemoryInterval;
+    }
+    EXPECT_GT(heartbeats, 0u);
+    EXPECT_EQ(observer.memory_reports, heartbeats) << shards << " shards";
+  }
 }
 
 TEST(ShardedSink, PartitionUsesCoarsestFlowDefinition) {
@@ -243,7 +291,10 @@ TEST(ShardedSink, RejectsZeroShardsAndBadBuilder) {
 // four NIC queues) each blast their own flows into one sink through small
 // queues, so submits regularly hit a full queue and block. The merged
 // per-producer report streams must equal a single-producer baseline
-// byte-for-byte, and no digest may be lost or duplicated.
+// byte-for-byte, and no digest may be lost or duplicated. The second input
+// adds four workers churning their per-thread slab arenas while a slow
+// add_observer observer holds the observer mutex, so every concurrency
+// axis of the sink runs at once (this suite runs under TSAN and ASan/UBSan).
 TEST(ShardedSink, MpmcFourProducerStressMatchesSingleProducerBaseline) {
   constexpr unsigned kProducers = 4;
   constexpr std::size_t kStressFlows = 500;           // per producer, disjoint
@@ -297,40 +348,51 @@ TEST(ShardedSink, MpmcFourProducerStressMatchesSingleProducerBaseline) {
                       base_reports[p]);
   }
 
-  // Small queues force regular backpressure blocking in submit().
-  ShardedSink sink(builder, 2, /*queue_depth=*/16);
-  CountingObserver counter;
-  sink.add_observer(&counter);
-  std::vector<std::vector<SinkReport>> reports(kProducers);
-  for (unsigned p = 0; p < kProducers; ++p) {
-    reports[p].resize(traffic[p].size());
-  }
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (unsigned p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      const std::span<const Packet> packets(traffic[p]);
-      const std::span<SinkReport> out(reports[p]);
-      for (std::size_t off = 0; off < packets.size(); off += kSubmitBatch) {
-        const std::size_t n = std::min(kSubmitBatch, packets.size() - off);
-        sink.submit(packets.subspan(off, n), kHops, out.subspan(off, n));
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  sink.flush();
+  // Recording stores draw from per-thread slab arenas by default.
+  ASSERT_TRUE(builder.recording_arena_enabled());
+  struct Case {
+    unsigned shards;
+    unsigned observer_work;  // FNV rounds per observer event
+  };
+  for (const Case c : {Case{2, 0}, Case{4, 64}}) {
+    // Small queues force regular backpressure blocking in submit().
+    ShardedSink sink(builder, c.shards, /*queue_depth=*/16);
+    CountingObserver counter;
+    counter.work = c.observer_work;
+    sink.add_observer(&counter);
+    std::vector<std::vector<SinkReport>> reports(kProducers);
+    for (unsigned p = 0; p < kProducers; ++p) {
+      reports[p].resize(traffic[p].size());
+    }
+    std::vector<std::thread> producers;
+    producers.reserve(kProducers);
+    for (unsigned p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        const std::span<const Packet> packets(traffic[p]);
+        const std::span<SinkReport> out(reports[p]);
+        for (std::size_t off = 0; off < packets.size(); off += kSubmitBatch) {
+          const std::size_t n = std::min(kSubmitBatch, packets.size() - off);
+          sink.submit(packets.subspan(off, n), kHops, out.subspan(off, n));
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    sink.flush();
 
-  // No digest lost or duplicated, at three independent layers: the shard
-  // counters, the observer stream, and the per-packet report bytes.
-  const std::size_t total =
-      kProducers * kStressFlows * kStressPacketsPerFlow;
-  EXPECT_EQ(sink.packets_processed(), total);
-  EXPECT_EQ(counter.observations.load(), reference.observations.load());
-  EXPECT_EQ(counter.paths_decoded.load(), reference.paths_decoded.load());
-  for (unsigned p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(stream_bytes(traffic[p], reports[p]),
-              stream_bytes(traffic[p], base_reports[p]))
-        << "producer " << p;
+    // No digest lost or duplicated, at three independent layers: the shard
+    // counters, the observer stream, and the per-packet report bytes.
+    const std::size_t total =
+        kProducers * kStressFlows * kStressPacketsPerFlow;
+    EXPECT_EQ(sink.packets_processed(), total) << c.shards << " shards";
+    EXPECT_EQ(counter.observations.load(), reference.observations.load())
+        << c.shards << " shards";
+    EXPECT_EQ(counter.paths_decoded.load(), reference.paths_decoded.load())
+        << c.shards << " shards";
+    for (unsigned p = 0; p < kProducers; ++p) {
+      EXPECT_EQ(stream_bytes(traffic[p], reports[p]),
+                stream_bytes(traffic[p], base_reports[p]))
+          << "producer " << p << ", " << c.shards << " shards";
+    }
   }
 }
 
