@@ -10,6 +10,9 @@
 //  * pack(unpack(x)) is a fixed point — repacking decoded lanes and
 //    decoding again reproduces them exactly;
 //  * the allocation-free *_into variants agree with the allocating ones;
+//  * both directions agree bit for bit with a bit-at-a-time reference of
+//    the layout (the word-at-a-time packer is checked against the
+//    definition, not only against itself);
 //  * the documented throwing paths (width out of [1,64], wrong buffer
 //    size) throw std::invalid_argument and nothing else.
 //
@@ -25,6 +28,42 @@
 #include "common/types.h"
 #include "fuzz/fuzz_util.h"
 #include "pint/wire_format.h"
+
+namespace {
+
+// The layout by definition: lane i's bit b is stream bit
+// (sum of earlier widths) + b, LSB-first within each byte.
+std::vector<std::uint8_t> reference_pack(std::span<const pint::Digest> lanes,
+                                         std::span<const unsigned> widths) {
+  std::vector<std::uint8_t> out(pint::wire_bytes(widths), 0);
+  std::size_t bit_pos = 0;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    for (unsigned b = 0; b < widths[i]; ++b, ++bit_pos) {
+      if ((lanes[i] >> b) & 1) {
+        out[bit_pos >> 3] |= static_cast<std::uint8_t>(1u << (bit_pos & 7));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<pint::Digest> reference_unpack(std::span<const std::uint8_t> bytes,
+                                           std::span<const unsigned> widths) {
+  std::vector<pint::Digest> out;
+  std::size_t bit_pos = 0;
+  for (unsigned w : widths) {
+    pint::Digest v = 0;
+    for (unsigned b = 0; b < w; ++b, ++bit_pos) {
+      if ((bytes[bit_pos >> 3] >> (bit_pos & 7)) & 1) {
+        v |= pint::Digest{1} << b;
+      }
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -45,6 +84,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     FUZZ_CHECK(lanes[i] <= pint::low_bits_mask(widths[i]));
   }
+
+  // Differential: both directions against the bit-at-a-time definition.
+  FUZZ_CHECK(lanes == reference_unpack(wire, widths));
+  FUZZ_CHECK(pint::pack_digests(lanes, widths) ==
+             reference_pack(lanes, widths));
 
   // pack -> unpack fixed point. (wire itself may differ from the repacked
   // bytes only in the padding bits of the last byte, so the comparison is

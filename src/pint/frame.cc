@@ -40,27 +40,44 @@ std::uint32_t read_u32(const std::uint8_t* p) {
   return v;
 }
 
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: table k maps a
+// byte to its CRC contribution k bytes further along, so eight input bytes
+// fold into the register with eight independent lookups per step instead
+// of eight dependent ones.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
                            std::size_t len) {
-  const auto& table = crc_table();
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  const CrcTables& t = crc_tables();
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = crc ^ read_u32(data);
+    const std::uint32_t hi = read_u32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = t[0][(crc ^ *data) & 0xFF] ^ (crc >> 8);
   }
   return crc;
 }
@@ -74,6 +91,10 @@ std::uint32_t frame_crc(const std::uint8_t* header,
 }
 
 }  // namespace
+
+std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
+  return crc32_update(0xFFFFFFFFu, bytes.data(), bytes.size()) ^ 0xFFFFFFFFu;
+}
 
 const char* to_string(FrameErrorCode code) {
   switch (code) {

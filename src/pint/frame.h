@@ -103,6 +103,11 @@ inline constexpr std::size_t kFrameHeaderBytes = 26;
 /// Default cap a reassembler puts on declared payload lengths.
 inline constexpr std::size_t kDefaultMaxFramePayload = 1u << 24;
 
+/// CRC-32 of `bytes` (IEEE 802.3 polynomial, reflected; the zlib/Ethernet
+/// checksum, so "123456789" gives 0xCBF43926). Frames carry it over their
+/// header and payload.
+[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+
 /// Appends one complete frame (header + payload) to `out`.
 void append_frame(std::vector<std::uint8_t>& out, FrameType type,
                   std::uint32_t source, std::uint32_t epoch, std::uint32_t seq,

@@ -350,13 +350,6 @@ BuildResult PintFramework::Builder::build() const {
   }
   fw->memory_ceiling_ = memory_ceiling_;
   fw->memory_bounded_ = memory_ceiling_ > 0 || explicit_total > 0;
-  // The transport shedding class: only queries at the minimum registered
-  // priority are droppable under pressure. All-default priorities put
-  // every query in it — shedding then matches the priority-free behavior.
-  fw->min_priority_ = fw->bindings_.front().spec.priority;
-  for (const Binding& b : fw->bindings_) {
-    fw->min_priority_ = std::min(fw->min_priority_, b.spec.priority);
-  }
   fw->memory_report_interval_ = memory_report_interval_;
   fw->memory_report_interval_time_ = memory_report_interval_time_;
   fw->last_timed_memory_report_ = std::chrono::steady_clock::now();
@@ -374,6 +367,17 @@ BuildResult PintFramework::Builder::build() const {
       return fail(BuildErrorCode::kTooManyConcurrentQueries, "");
     }
     fw->max_lanes_ = std::max(fw->max_lanes_, fw->lanes_for_set(set));
+    // The wire layout of every packet of this set, computed once: a lane
+    // per instance, in set order.
+    std::vector<unsigned>& widths = fw->set_widths_.emplace_back();
+    for (std::size_t qi : set.query_indices) {
+      const Binding& b = fw->bindings_[qi];
+      const unsigned width = b.spec.query.aggregation ==
+                                     AggregationType::kStaticPerFlow
+                                 ? b.spec.path.bits
+                                 : b.spec.query.bit_budget;
+      widths.insert(widths.end(), b.lanes, width);
+    }
   }
   fw->extract_scratch_.resize(fw->bindings_.size());
 
@@ -682,41 +686,44 @@ MemoryReport PintFramework::memory_report() const {
 
 // --- wire format ------------------------------------------------------------
 
+std::span<const unsigned> PintFramework::widths_for(PacketId packet) const {
+  const std::size_t index = engine_->set_index_for_packet(packet);
+  if (index >= set_widths_.size()) return {};  // no set: no lanes
+  return set_widths_[index];
+}
+
 std::size_t PintFramework::lane_widths(PacketId packet,
                                        std::span<unsigned> out) const {
-  const QuerySet& set = engine_->set_for_packet(packet);
-  const std::size_t count = lanes_for_set(set);
-  if (out.empty()) return count;
-  if (out.size() < count) throw std::invalid_argument("lane buffer too small");
-  std::size_t lane = 0;
-  for (std::size_t qi : set.query_indices) {
-    const Binding& b = bindings_[qi];
-    const unsigned width = b.spec.query.aggregation ==
-                                   AggregationType::kStaticPerFlow
-                               ? b.spec.path.bits
-                               : b.spec.query.bit_budget;
-    for (unsigned inst = 0; inst < b.lanes; ++inst) out[lane++] = width;
+  const std::span<const unsigned> widths = widths_for(packet);
+  if (out.empty()) return widths.size();
+  if (out.size() < widths.size()) {
+    throw std::invalid_argument("lane buffer too small");
   }
-  return count;
+  std::copy(widths.begin(), widths.end(), out.begin());
+  return widths.size();
 }
 
 std::vector<std::uint8_t> PintFramework::pack_wire(
     const Packet& packet) const {
-  std::vector<unsigned> widths(max_lanes_);
-  const std::size_t count = lane_widths(packet.id, widths);
-  widths.resize(count);
-  if (packet.digests.size() != count) {
+  const std::span<const unsigned> widths = widths_for(packet.id);
+  if (packet.digests.size() != widths.size()) {
     throw std::invalid_argument("packet digests do not match its query set");
   }
-  return pack_digests(packet.digests, widths);
+  std::vector<std::uint8_t> out(wire_bytes(widths));
+  pack_digests_into(packet.digests, widths, out);
+  return out;
 }
 
 void PintFramework::unpack_wire(std::span<const std::uint8_t> bytes,
                                 Packet& packet) const {
-  std::vector<unsigned> widths(max_lanes_);
-  const std::size_t count = lane_widths(packet.id, widths);
-  widths.resize(count);
-  packet.digests = unpack_digests(bytes, widths);
+  const std::span<const unsigned> widths = widths_for(packet.id);
+  // Validate before touching the packet: a short buffer leaves its
+  // digests as they were. Then decode in place, reusing their capacity.
+  if (bytes.size() < wire_bytes(widths)) {
+    throw std::invalid_argument("buffer too small for widths");
+  }
+  packet.digests.resize(widths.size());
+  unpack_digests_into(bytes, widths, packet.digests);
 }
 
 // --- introspection ----------------------------------------------------------

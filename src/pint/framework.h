@@ -256,6 +256,9 @@ class PintFramework {
 
   /// Bit-pack the packet's digest lanes into wire bytes, and back. Both ends
   /// derive the lane layout from the packet id alone (header-free).
+  /// `unpack_wire` throws std::invalid_argument on a buffer shorter than
+  /// the layout, leaving `packet` untouched; otherwise it overwrites
+  /// `packet.digests` in place, reusing its storage.
   std::vector<std::uint8_t> pack_wire(const Packet& packet) const;
   void unpack_wire(std::span<const std::uint8_t> bytes, Packet& packet) const;
 
@@ -288,12 +291,6 @@ class PintFramework {
   std::size_t lanes_for_set(const QuerySet& set) const;
   const QuerySpec* spec(std::string_view query) const;
   std::vector<std::string_view> query_names() const;
-
-  /// Lowest QuerySpec::priority registered across all queries. Transport
-  /// layers (ShardedSink rings, fan-in frames) may shed only this class
-  /// under pressure; with all-default priorities every query is in it, so
-  /// shedding degenerates to the original priority-free behavior.
-  unsigned min_query_priority() const { return min_priority_; }
 
   /// Whether a per-flow query currently holds Recording-Module state for
   /// `flow_key` (no LRU effect). False for unknown/per-packet queries —
@@ -382,6 +379,10 @@ class PintFramework {
                 const FlowKeyHint* hint);
   void heartbeat_tick();  // periodic on_memory_report, counted per packet
 
+  /// The packet's lane widths in wire order (empty for a packet no query
+  /// set selects), precomputed at build time.
+  std::span<const unsigned> widths_for(PacketId packet) const;
+
   const Binding* find_binding(std::string_view query) const;
   const Binding* find_binding(AggregationType aggregation) const;
 
@@ -394,10 +395,10 @@ class PintFramework {
   std::vector<std::uint64_t> switch_ids_;
   std::vector<SinkObserver*> observers_;
   std::size_t max_lanes_ = 0;
+  std::vector<std::vector<unsigned>> set_widths_;  // per plan set, wire order
   std::vector<double> extract_scratch_;  // batched at_switch hoisting
   bool memory_bounded_ = false;
   std::size_t memory_ceiling_ = 0;
-  unsigned min_priority_ = 1;
   std::uint64_t last_reported_evictions_ = 0;  // on_memory_report edge
   std::uint64_t memory_report_interval_ = 0;   // heartbeat period (packets)
   std::uint64_t packets_since_memory_report_ = 0;

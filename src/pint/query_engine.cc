@@ -101,11 +101,16 @@ void QueryEngine::compile() {
 
 const QuerySet& QueryEngine::set_for_packet(PacketId packet) const {
   static const QuerySet kEmpty{};
+  const std::size_t i = set_index_for_packet(packet);
+  return i < plan_.sets.size() ? plan_.sets[i] : kEmpty;
+}
+
+std::size_t QueryEngine::set_index_for_packet(PacketId packet) const {
   const double h = selection_hash_.unit(packet);
   for (std::size_t i = 0; i < cumulative_.size(); ++i) {
-    if (h < cumulative_[i]) return plan_.sets[i];
+    if (h < cumulative_[i]) return i;
   }
-  return kEmpty;
+  return plan_.sets.size();
 }
 
 bool QueryEngine::query_runs(std::size_t query_index, PacketId packet) const {

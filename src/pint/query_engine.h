@@ -48,6 +48,10 @@ class QueryEngine {
   /// The query set a given packet runs (same answer on every switch).
   const QuerySet& set_for_packet(PacketId packet) const;
 
+  /// Index into plan().sets of set_for_packet(packet), or plan().sets.size()
+  /// when no set selects the packet (it then runs the empty set).
+  std::size_t set_index_for_packet(PacketId packet) const;
+
   /// True iff query q runs on this packet.
   bool query_runs(std::size_t query_index, PacketId packet) const;
 

@@ -34,18 +34,28 @@ constexpr std::uint8_t kTagHopSample = 1;
 constexpr std::uint8_t kTagPathDigest = 2;
 constexpr std::uint8_t kTagPathEvent = 3;
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+// Longest LEB128 encoding of a 64-bit value.
+constexpr std::size_t kMaxVarintBytes = 10;
+
+std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
 }
 
-void put_fixed64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  std::uint8_t buf[kMaxVarintBytes];
+  out.insert(out.end(), buf, put_varint(buf, v));
+}
+
+std::uint8_t* put_fixed64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    *p++ = static_cast<std::uint8_t>(v >> (8 * i));
   }
+  return p;
 }
 
 // Bounded reader over the input buffer; every get_* returns false on
@@ -102,36 +112,53 @@ std::uint32_t ReportEncoder::intern(std::string_view name) {
   return index;
 }
 
+std::uint8_t* ReportEncoder::begin_record(std::string_view query,
+                                          std::uint8_t tag,
+                                          const SinkContext& ctx,
+                                          std::size_t max_payload_bytes) {
+  records_.push_back(RecordRef{body_.size(), intern(query)});
+  // Room for the worst case; end_record() trims to what was written.
+  const std::size_t at = body_.size();
+  body_.resize(at + 1 + kMaxVarintBytes + 8 + kMaxVarintBytes +
+               max_payload_bytes);
+  std::uint8_t* p = body_.data() + at;
+  *p++ = tag;
+  p = put_varint(p, ctx.packet_id);
+  p = put_fixed64(p, ctx.flow);
+  return put_varint(p, ctx.path_length);
+}
+
+void ReportEncoder::end_record(const std::uint8_t* end) {
+  body_.resize(static_cast<std::size_t>(end - body_.data()));
+}
+
 void ReportEncoder::add(const SinkContext& ctx, std::string_view query,
                         const Observation& obs) {
-  Record r;
-  r.ctx = ctx;
-  r.name_index = intern(query);
+  std::uint8_t* p = nullptr;
   if (const auto* agg = std::get_if<AggregateObservation>(&obs)) {
-    r.tag = kTagAggregate;
-    r.a = std::bit_cast<std::uint64_t>(agg->value);
+    p = begin_record(query, kTagAggregate, ctx, 8);
+    p = put_fixed64(p, std::bit_cast<std::uint64_t>(agg->value));
   } else if (const auto* hs = std::get_if<HopSampleObservation>(&obs)) {
-    r.tag = kTagHopSample;
-    r.a = hs->hop;
-    r.b = std::bit_cast<std::uint64_t>(hs->value);
+    p = begin_record(query, kTagHopSample, ctx, kMaxVarintBytes + 8);
+    p = put_varint(p, hs->hop);
+    p = put_fixed64(p, std::bit_cast<std::uint64_t>(hs->value));
   } else {
     const auto& pd = std::get<PathDigestObservation>(obs);
-    r.tag = kTagPathDigest;
-    r.a = pd.resolved_hops;
-    r.b = pd.path_length;
-    r.flag = pd.complete ? 1 : 0;
+    p = begin_record(query, kTagPathDigest, ctx, 2 * kMaxVarintBytes + 1);
+    p = put_varint(p, pd.resolved_hops);
+    p = put_varint(p, pd.path_length);
+    *p++ = pd.complete ? 1 : 0;
   }
-  records_.push_back(std::move(r));
+  end_record(p);
 }
 
 void ReportEncoder::add_path(const SinkContext& ctx, std::string_view query,
                              const std::vector<SwitchId>& path) {
-  Record r;
-  r.ctx = ctx;
-  r.name_index = intern(query);
-  r.tag = kTagPathEvent;
-  r.path = path;
-  records_.push_back(std::move(r));
+  std::uint8_t* p = begin_record(query, kTagPathEvent, ctx,
+                                 kMaxVarintBytes * (1 + path.size()));
+  p = put_varint(p, path.size());
+  for (SwitchId sid : path) p = put_varint(p, sid);
+  end_record(p);
 }
 
 void ReportEncoder::add(PacketId packet, unsigned k,
@@ -145,25 +172,35 @@ void ReportEncoder::add(PacketId packet, unsigned k,
   }
 }
 
-// Serializes records [lo, hi) into one self-contained buffer. The name
-// table is rebuilt per range (only the names the range uses, in first-use
-// order), so for the full range the output is byte-identical to the
-// historical single-buffer format.
+// Writes records [lo, hi) as one self-contained buffer. The name table is
+// rebuilt per range (only the names the range uses, in first-use order), so
+// for the full range the output is byte-identical to the historical
+// single-buffer format, and each range decodes on its own. The bodies were
+// serialized by add(); this writes the header and copies each body behind
+// its range-local name index.
 std::vector<std::uint8_t> ReportEncoder::encode_range(std::size_t lo,
                                                       std::size_t hi) const {
   constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;
   std::vector<std::uint32_t> local_of(names_.size(), kUnmapped);
   std::vector<std::uint32_t> used;  // global name indices, first-use order
+  std::size_t name_bytes = 0;
   for (std::size_t i = lo; i < hi; ++i) {
-    const std::uint32_t g = records_[i].name_index;
+    const std::uint32_t g = records_[i].name;
     if (local_of[g] == kUnmapped) {
       local_of[g] = static_cast<std::uint32_t>(used.size());
       used.push_back(g);
+      name_bytes += kMaxVarintBytes + names_[g].size();
     }
   }
+  const auto body_end = [&](std::size_t i) {
+    return i + 1 < records_.size() ? records_[i + 1].offset : body_.size();
+  };
+  const std::size_t body_bytes =
+      lo < hi ? body_end(hi - 1) - records_[lo].offset : 0;
 
   std::vector<std::uint8_t> out;
-  out.reserve(64 + 32 * (hi - lo));  // rough; avoids early regrowth
+  out.reserve(sizeof kMagic + 2 * kMaxVarintBytes + name_bytes +
+              kMaxVarintBytes * (hi - lo) + body_bytes);
   for (std::uint8_t byte : kMagic) out.push_back(byte);
   put_varint(out, used.size());
   for (const std::uint32_t g : used) {
@@ -173,30 +210,9 @@ std::vector<std::uint8_t> ReportEncoder::encode_range(std::size_t lo,
   }
   put_varint(out, hi - lo);
   for (std::size_t i = lo; i < hi; ++i) {
-    const Record& r = records_[i];
-    put_varint(out, local_of[r.name_index]);
-    out.push_back(r.tag);
-    put_varint(out, r.ctx.packet_id);
-    put_fixed64(out, r.ctx.flow);
-    put_varint(out, r.ctx.path_length);
-    switch (r.tag) {
-      case kTagAggregate:
-        put_fixed64(out, r.a);
-        break;
-      case kTagHopSample:
-        put_varint(out, r.a);
-        put_fixed64(out, r.b);
-        break;
-      case kTagPathDigest:
-        put_varint(out, r.a);
-        put_varint(out, r.b);
-        out.push_back(r.flag);
-        break;
-      case kTagPathEvent:
-        put_varint(out, r.path.size());
-        for (SwitchId sid : r.path) put_varint(out, sid);
-        break;
-    }
+    put_varint(out, local_of[records_[i].name]);
+    out.insert(out.end(), body_.begin() + records_[i].offset,
+               body_.begin() + body_end(i));
   }
   return out;
 }
@@ -205,6 +221,7 @@ void ReportEncoder::reset() {
   names_.clear();
   name_index_.clear();
   records_.clear();
+  body_.clear();
 }
 
 std::vector<std::uint8_t> ReportEncoder::finish() {

@@ -46,10 +46,18 @@ struct StreamRecord {
 
 /// Accumulates observer events and serializes them into one buffer.
 ///
+/// The record bytes are made as the events arrive: `add`/`add_path` write
+/// each record's body (everything after its name index) into one byte log,
+/// so under `ShardedSink::add_shard_observer` the shard workers serialize
+/// their own records. `finish()`/`finish_chunked()` only write each
+/// buffer's header and first-use name table and copy the bodies behind
+/// their buffer-local name indices.
+///
 /// Not thread-safe: give each shard its own encoder
 /// (`ShardedSink::add_shard_observer`) or serialize access (ShardedSink's
-/// `add_observer` delivery does). `finish()` resets the encoder for the next epoch,
-/// so one encoder can emit a stream of buffers.
+/// `add_observer` delivery does). `finish()` resets the encoder for the
+/// next epoch (keeping its buffers' capacity), so one encoder can emit a
+/// stream of buffers.
 class ReportEncoder {
  public:
   /// Records one `SinkObserver::on_observation` event.
@@ -80,15 +88,11 @@ class ReportEncoder {
       std::size_t max_records);
 
  private:
-  struct Record {
-    SinkContext ctx;
-    std::uint32_t name_index = 0;
-    std::uint8_t tag = 0;
-    // Payload union by tag (see report_codec.cc for the wire layout).
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    std::uint8_t flag = 0;
-    std::vector<SwitchId> path;
+  // Where record i's body starts in body_ (it ends where record i + 1's
+  // starts), and its query's index into names_.
+  struct RecordRef {
+    std::size_t offset = 0;
+    std::uint32_t name = 0;
   };
 
   struct StringHash {
@@ -99,13 +103,21 @@ class ReportEncoder {
   };
 
   std::uint32_t intern(std::string_view name);
+  /// Opens a record for `query` and writes the body fields every tag
+  /// shares; returns the write position for the tag's payload.
+  std::uint8_t* begin_record(std::string_view query, std::uint8_t tag,
+                             const SinkContext& ctx,
+                             std::size_t max_payload_bytes);
+  /// Closes the open record at `end`, one past its last written byte.
+  void end_record(const std::uint8_t* end);
   std::vector<std::uint8_t> encode_range(std::size_t lo, std::size_t hi) const;
   void reset();
 
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
       name_index_;
-  std::vector<Record> records_;
+  std::vector<RecordRef> records_;
+  std::vector<std::uint8_t> body_;  // every record's bytes after its name
 };
 
 /// Parses buffers produced by ReportEncoder::finish().

@@ -138,7 +138,7 @@ ShardedSink::~ShardedSink() {
   // safely and empties the backlog before they could process it (workers
   // re-check stop between batches); a batch a worker grabbed concurrently
   // counts as already being processed. Destroying a Batch only frees its
-  // item vector.
+  // items.
   for (auto& shard : shards_) {
     Batch batch;
     while (shard->queue.try_pop(batch)) {
@@ -156,6 +156,22 @@ unsigned ShardedSink::shard_of(const FiveTuple& tuple) const {
 
 void ShardedSink::submit(std::span<const Packet> packets, unsigned k,
                          std::span<SinkReport> reports) {
+  submit_items(packets, [k](std::size_t) { return k; }, reports);
+}
+
+void ShardedSink::submit(std::span<const Packet> packets,
+                         std::span<const unsigned> ks,
+                         std::span<SinkReport> reports) {
+  if (ks.size() != packets.size()) {
+    throw std::invalid_argument("ks must have one path length per packet");
+  }
+  submit_items(packets, [ks](std::size_t i) { return ks[i]; }, reports);
+}
+
+template <typename PathLengthOf>
+void ShardedSink::submit_items(std::span<const Packet> packets,
+                               PathLengthOf k_of,
+                               std::span<SinkReport> reports) {
   if (!reports.empty() && reports.size() != packets.size()) {
     throw std::invalid_argument("reports must be empty or match packets");
   }
@@ -178,13 +194,12 @@ void ShardedSink::submit(std::span<const Packet> packets, unsigned k,
     // FlowKeyHint so the worker's at_sink() skips the rehash.
     const std::uint64_t pkey = flow_key(packets[i].tuple, partition_def_);
     Batch& b = staged[mix64(pkey) % num_shards];
-    if (b.items.empty()) b.items.reserve(reserve_hint);
-    b.items.push_back(Item{&packets[i], pkey,
-                           reports.empty() ? nullptr : &reports[i]});
+    if (b.empty()) b.reserve(reserve_hint);
+    b.push_back(Item{&packets[i], pkey,
+                     reports.empty() ? nullptr : &reports[i], k_of(i)});
   }
   for (std::size_t s = 0; s < num_shards; ++s) {
-    if (staged[s].items.empty()) continue;
-    staged[s].k = k;
+    if (staged[s].empty()) continue;
     Shard& shard = *shards_[s];
     // pending goes up before the batch is visible anywhere, so a flush()
     // racing this submit can never observe "all done" mid-handoff.
@@ -350,13 +365,13 @@ void ShardedSink::worker_loop(Shard& shard) {
     Batch batch;
     if (shard.queue.try_pop(batch)) {
       shard.queued.fetch_sub(1, std::memory_order_relaxed);
-      for (const Item& item : batch.items) {
+      for (const Item& item : batch) {
         SinkReport& out = item.report ? *item.report : scratch;
         // Reuse the partition key submit() hashed for shard routing.
-        shard.fw->at_sink(*item.packet, batch.k, out,
+        shard.fw->at_sink(*item.packet, item.k, out,
                           FlowKeyHint{partition_def_, item.key});
       }
-      shard.processed.fetch_add(batch.items.size(),
+      shard.processed.fetch_add(batch.size(),
                                 std::memory_order_release);
       if (shard.pending_batches.fetch_sub(1, std::memory_order_seq_cst) ==
               1 &&

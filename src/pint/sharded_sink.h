@@ -144,6 +144,14 @@ class ShardedSink {
   void submit(std::span<const Packet> packets, unsigned k,
               std::span<SinkReport> reports = {});
 
+  /// Like the uniform-`k` submit, but packet `i` has path length `ks[i]`,
+  /// so one call may carry flows of every path length in arrival order.
+  ///
+  /// \throws std::invalid_argument if `ks.size() != packets.size()`, or on
+  ///   a mismatched `reports` buffer (as above); nothing is enqueued.
+  void submit(std::span<const Packet> packets, std::span<const unsigned> ks,
+              std::span<SinkReport> reports = {});
+
   /// Blocks until every submitted packet has been processed.
   void flush();
 
@@ -222,11 +230,9 @@ class ShardedSink {
     const Packet* packet = nullptr;
     std::uint64_t key = 0;        // partition-definition flow key
     SinkReport* report = nullptr;  // null when the caller passed no buffer
+    unsigned k = 0;                // the packet's path length
   };
-  struct Batch {
-    std::vector<Item> items;
-    unsigned k = 0;
-  };
+  using Batch = std::vector<Item>;
 
   struct Shard {
     explicit Shard(std::size_t queue_depth) : queue(queue_depth) {}
@@ -270,6 +276,10 @@ class ShardedSink {
   // add_observer() attaches it.
   class SerializingObserver;
 
+  // Both submit() overloads: `k_of(i)` is packet i's path length.
+  template <typename PathLengthOf>
+  void submit_items(std::span<const Packet> packets, PathLengthOf k_of,
+                    std::span<SinkReport> reports);
   // Throws std::logic_error once submit() has run (registration contract).
   void check_registration_open() const;
   void worker_loop(Shard& shard) PINT_EXCLUDES(observer_mutex_);

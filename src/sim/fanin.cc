@@ -255,26 +255,39 @@ FanInSender::FanInSender(const PintFramework::Builder& builder,
 
 void FanInSender::deliver(const Packet& packet, unsigned k) {
   if (closed_) return;
-  std::vector<Packet>& staged = staging_[k];
-  staged.push_back(packet);
-  if (staged.size() >= config_.batch_size) submit_staged(k);
+  StagedBatch& b = staging_;
+  if (b.size < b.packets.size()) {
+    b.packets[b.size] = packet;  // copy-assign: reuses the digest storage
+    b.ks[b.size] = k;
+  } else {
+    b.packets.push_back(packet);
+    b.ks.push_back(k);
+  }
+  if (++b.size >= config_.batch_size) submit_staged();
 }
 
-void FanInSender::submit_staged(unsigned k) {
-  std::vector<Packet>& staged = staging_[k];
-  if (staged.empty()) return;
-  // The submitted span must outlive the sink's flush(): park the batch on
-  // the in-flight list until the epoch closes.
-  in_flight_.push_back(std::move(staged));
-  staged.clear();
-  sink_->submit(in_flight_.back(), k);
+void FanInSender::submit_staged() {
+  if (staging_.size == 0) return;
+  // The submitted spans must outlive the sink's flush(): park the batch on
+  // the in-flight list until the epoch closes. Moving a batch keeps its
+  // vectors' storage, so the spans stay valid.
+  in_flight_.push_back(std::move(staging_));
+  const StagedBatch& b = in_flight_.back();
+  sink_->submit(std::span<const Packet>(b.packets.data(), b.size),
+                std::span<const unsigned>(b.ks.data(), b.size));
+  if (spare_.empty()) {
+    staging_ = StagedBatch{};
+  } else {
+    staging_ = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  staging_.size = 0;
 }
 
 void FanInSender::flush_sink() {
-  for (auto& [k, staged] : staging_) {
-    if (!staged.empty()) submit_staged(k);
-  }
+  submit_staged();
   sink_->flush();
+  for (StagedBatch& b : in_flight_) spare_.push_back(std::move(b));
   in_flight_.clear();
 }
 

@@ -50,7 +50,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -95,7 +94,8 @@ enum class BackpressurePolicy : std::uint8_t {
 struct FanInConfig {
   unsigned num_sinks = 2;        ///< independent sink hosts
   unsigned shards_per_sink = 1;  ///< worker threads inside each sink
-  /// Packets staged per (sink, path length) before a submit() is issued.
+  /// Packets staged per sink (all path lengths together, in arrival
+  /// order) before a submit() is issued.
   std::size_t batch_size = 256;
   StreamKind stream = StreamKind::kSpscRing;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
@@ -231,17 +231,24 @@ class FanInCollector final : public StreamIngest {
 /// shipping code (priority order, droppability, drop accounting) as the
 /// in-process pipeline.
 ///
+/// Delivered packets of every path length share one staging batch, in
+/// arrival order (each sink item carries its own `k`); no partial batch
+/// waits per path length for the epoch to end. Submitted batches are
+/// recycled after the epoch's flush, so `deliver()` copy-assigns into
+/// retained packets instead of allocating digest storage per packet.
+///
 /// Encoding is shard-local: each shard worker feeds its own routing tap
 /// and its own per-class ReportEncoders through
-/// `ShardedSink::add_shard_observer`, so no lock is taken per record. The
-/// encoders are read only by `ship_epoch()`, after `ShardedSink::flush()`
-/// has returned — the happens-before that orders every worker's last
-/// `add` before `finish_chunked`; the next `submit()` hands the reset
-/// encoders back to the workers. An epoch ships class-major (highest
-/// priority first), then shard by shard within a class, all under the one
-/// FrameWriter and source id. A flow lives on one shard, so its records
-/// keep their order; only the interleaving across shards differs from a
-/// single shard's stream.
+/// `ShardedSink::add_shard_observer`, so no lock is taken per record, and
+/// the worker writes each record's bytes as it adds it. The encoders are
+/// read only by `ship_epoch()`, after `ShardedSink::flush()` has returned
+/// — the happens-before that orders every worker's last `add` before
+/// `finish_chunked`, which only frames and copies the workers' bytes; the
+/// next `submit()` hands the reset encoders back to the workers. An epoch
+/// ships class-major (highest priority first), then shard by shard within
+/// a class, all under the one FrameWriter and source id. A flow lives on
+/// one shard, so its records keep their order; only the interleaving
+/// across shards differs from a single shard's stream.
 class FanInSender {
  public:
   struct Config {
@@ -313,14 +320,22 @@ class FanInSender {
     std::vector<ShardEncoder> shards;  ///< index = shard
   };
 
-  void submit_staged(unsigned k);
+  /// A run of delivered packets, in arrival order, with their path
+  /// lengths. The vectors are kept across batches: slots past `size` hold
+  /// retired packets whose digest storage the next deliver() reuses.
+  struct StagedBatch {
+    std::vector<Packet> packets;
+    std::vector<unsigned> ks;
+    std::size_t size = 0;
+  };
+
+  void submit_staged();
   void flush_sink();
   /// Applies the backpressure policy; returns false if the frame was
   /// dropped (only possible for droppable frames under kDropNewest).
   bool write_frame(std::span<const std::uint8_t> bytes, bool droppable);
 
   Config config_;
-  std::unique_ptr<ShardedSink> sink_;
   // Descending priority; addresses are stable after construction (the
   // routing taps hold pointers into it).
   std::vector<PriorityClass> classes_;
@@ -328,15 +343,21 @@ class FanInSender {
   FrameWriter writer_;
   std::unique_ptr<ByteStream> stream_;
   std::function<void()> on_block_;
-  // Per path-length staging (submit spans must be homogeneous in k), and
-  // the in-flight batches a pending flush() still references.
-  std::unordered_map<unsigned, std::vector<Packet>> staging_;
-  std::deque<std::vector<Packet>> in_flight_;
+  // One staging batch for every path length (sink items carry their own
+  // k), the submitted batches a pending flush() still references, and the
+  // batches retired by the last flush(), recycled as staging.
+  StagedBatch staging_;
+  std::vector<StagedBatch> in_flight_;
+  std::vector<StagedBatch> spare_;
   // Writer-side transport counters for this stream.
   std::uint64_t frames_shipped_ = 0;
   std::uint64_t bytes_shipped_ = 0;
   std::uint64_t blocked_waits_ = 0;
   bool closed_ = false;
+  // Declared last, so destroyed first: ~ShardedSink joins the shard
+  // workers, which read the staged batches and write the encoders above,
+  // before any of those are freed.
+  std::unique_ptr<ShardedSink> sink_;
 };
 
 /// N sharded sink hosts plus the collector, wired through framed streams.

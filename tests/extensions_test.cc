@@ -3,6 +3,7 @@
 // fast path (Section 4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -10,6 +11,7 @@
 #include "coding/hashed_decoder.h"
 #include "coding/peeling_decoder.h"
 #include "common/rng.h"
+#include "pint/framework.h"
 #include "pint/path_change.h"
 #include "pint/wire_format.h"
 
@@ -62,6 +64,162 @@ TEST(WireFormat, RejectsBadInput) {
   EXPECT_THROW(
       pack_digests(std::vector<Digest>{0}, std::vector<unsigned>{0}),
       std::invalid_argument);
+  // The same checks on the caller-buffer variants, past the first word.
+  std::vector<std::uint8_t> out(16);
+  std::vector<Digest> lanes(2);
+  EXPECT_THROW(pack_digests_into(std::vector<Digest>{1, 1},
+                                 std::vector<unsigned>{8, 65}, out),
+               std::invalid_argument);
+  EXPECT_THROW(unpack_digests_into(out, std::vector<unsigned>{0, 8}, lanes),
+               std::invalid_argument);
+  EXPECT_THROW(pack_digests_into(std::vector<Digest>{0, 8},
+                                 std::vector<unsigned>{64, 3}, out),
+               std::invalid_argument);  // value exceeds width
+  EXPECT_THROW(pack_digests_into(std::vector<Digest>{0, 0},
+                                 std::vector<unsigned>{64, 64},
+                                 std::span<std::uint8_t>(out.data(), 15)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      unpack_digests_into(std::span<const std::uint8_t>(out.data(), 15),
+                          std::vector<unsigned>{64, 64}, lanes),
+      std::invalid_argument);
+  EXPECT_THROW(unpack_digests_into(out, std::vector<unsigned>{8, 8, 8}, lanes),
+               std::invalid_argument);
+}
+
+// Bit-at-a-time reference for the wire layout: lane i's bit b lands at
+// stream bit (sum of earlier widths) + b, LSB-first within each byte.
+std::vector<std::uint8_t> reference_pack(const std::vector<Digest>& lanes,
+                                         const std::vector<unsigned>& widths) {
+  std::vector<std::uint8_t> out(wire_bytes(widths), 0);
+  std::size_t bit_pos = 0;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    for (unsigned b = 0; b < widths[i]; ++b, ++bit_pos) {
+      if ((lanes[i] >> b) & 1) {
+        out[bit_pos >> 3] |= static_cast<std::uint8_t>(1u << (bit_pos & 7));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<Digest> reference_unpack(const std::vector<std::uint8_t>& bytes,
+                                     const std::vector<unsigned>& widths) {
+  std::vector<Digest> out;
+  std::size_t bit_pos = 0;
+  for (unsigned w : widths) {
+    Digest v = 0;
+    for (unsigned b = 0; b < w; ++b, ++bit_pos) {
+      if ((bytes[bit_pos >> 3] >> (bit_pos & 7)) & 1) v |= Digest{1} << b;
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+TEST(WireFormat, EveryWidthMatchesBitAtATimeReference) {
+  Rng rng(11);
+  // Two lanes of each width alone, then behind a 7-, 14-, ..., 63-bit
+  // prefix lane, so they start at many byte and word alignments.
+  for (unsigned w = 1; w <= 64; ++w) {
+    for (unsigned prefix = 0; prefix < 64; prefix += 7) {
+      std::vector<unsigned> widths;
+      if (prefix > 0) widths.push_back(prefix);
+      widths.push_back(w);
+      widths.push_back(w);
+      std::vector<Digest> lanes;
+      for (unsigned lw : widths) {
+        lanes.push_back(rng.next() & low_bits_mask(lw));
+      }
+      const auto bytes = pack_digests(lanes, widths);
+      ASSERT_EQ(bytes, reference_pack(lanes, widths)) << w << "/" << prefix;
+      ASSERT_EQ(unpack_digests(bytes, widths), lanes) << w << "/" << prefix;
+    }
+  }
+}
+
+TEST(WireFormat, LongRandomLayoutsMatchReference) {
+  Rng rng(12);
+  for (int trial = 0; trial < 500; ++trial) {
+    // 1..24 lanes of any width: totals run far past 64 bits.
+    std::vector<unsigned> widths(1 + rng.uniform_int(24));
+    for (unsigned& w : widths) {
+      w = 1 + static_cast<unsigned>(rng.uniform_int(64));
+    }
+    std::vector<Digest> lanes;
+    for (unsigned w : widths) lanes.push_back(rng.next() & low_bits_mask(w));
+    const auto bytes = pack_digests(lanes, widths);
+    ASSERT_EQ(bytes, reference_pack(lanes, widths));
+    // Unpack from arbitrary bytes, with trailing slack past the layout:
+    // only the layout's own bits may count.
+    std::vector<std::uint8_t> wire(bytes.size() + rng.uniform_int(9));
+    for (auto& b : wire) b = static_cast<std::uint8_t>(rng.next());
+    std::vector<Digest> unpacked(widths.size());
+    ASSERT_EQ(unpack_digests_into(wire, widths, unpacked), widths.size());
+    ASSERT_EQ(unpacked, reference_unpack(wire, widths));
+    // pack_digests_into writes exactly wire_bytes() bytes.
+    std::vector<std::uint8_t> into(bytes.size() + 4, 0xEE);
+    ASSERT_EQ(pack_digests_into(lanes, widths, into), bytes.size());
+    ASSERT_TRUE(std::equal(bytes.begin(), bytes.end(), into.begin()));
+    for (std::size_t i = bytes.size(); i < into.size(); ++i) {
+      ASSERT_EQ(into[i], 0xEE);
+    }
+  }
+}
+
+// A framework whose packets carry 20 + 20 + 44 = 84 bits: lanes wider than
+// a byte, one of them straddling the 64-bit word boundary.
+PintFramework::Builder wide_lane_builder() {
+  PathTracingConfig tuning;
+  tuning.bits = 20;
+  tuning.instances = 2;
+  PintFramework::Builder builder;
+  builder.global_bit_budget(84)
+      .seed(0x3141)
+      .switch_universe({1, 2, 3, 4, 5, 6})
+      .add_query(make_path_query("path", 40, 1.0, tuning))
+      .add_query(make_dynamic_query(
+          "latency", std::string(extractor::kHopLatency), 44, 1.0));
+  return builder;
+}
+
+TEST(WireFormat, FrameworkWireMatchesReferenceLayout) {
+  const auto fw = wide_lane_builder().build_or_throw();
+  Rng rng(13);
+  std::vector<unsigned> widths(fw->max_lanes());
+  for (PacketId id = 1; id <= 300; ++id) {
+    Packet tx;
+    tx.id = id;
+    widths.resize(fw->max_lanes());
+    widths.resize(fw->lane_widths(id, widths));
+    for (unsigned w : widths) {
+      tx.digests.push_back(rng.next() & low_bits_mask(w));
+    }
+    const std::vector<std::uint8_t> wire = fw->pack_wire(tx);
+    ASSERT_EQ(wire, reference_pack(tx.digests, widths));
+    // unpack_wire reuses the receiving packet's lanes: stale contents and
+    // a stale lane count must not leak through.
+    Packet rx;
+    rx.id = id;
+    rx.digests.assign(1 + id % 5, ~Digest{0});
+    fw->unpack_wire(wire, rx);
+    ASSERT_EQ(rx.digests, tx.digests);
+  }
+}
+
+TEST(WireFormat, ShortBufferThrowsAndLeavesDigestsUntouched) {
+  const auto fw = wide_lane_builder().build_or_throw();
+  for (PacketId id = 1; id <= 50; ++id) {
+    std::vector<unsigned> widths(fw->max_lanes());
+    widths.resize(fw->lane_widths(id, widths));
+    if (widths.empty()) continue;
+    const std::vector<std::uint8_t> wire(wire_bytes(widths) - 1, 0xFF);
+    Packet rx;
+    rx.id = id;
+    rx.digests = {7, 8, 9};
+    EXPECT_THROW(fw->unpack_wire(wire, rx), std::invalid_argument);
+    EXPECT_EQ(rx.digests, (std::vector<Digest>{7, 8, 9}));
+  }
 }
 
 // --- path change detection ---------------------------------------------------

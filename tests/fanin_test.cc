@@ -243,6 +243,94 @@ TEST(FanIn, ByteIdenticalToMonolithicAcrossStreamsSinksShards) {
   }
 }
 
+// A bounded sink's output depends on the order packets reach its store:
+// eviction picks victims by recency. A one-shard fan-in sink must process
+// packets in arrival order, whatever their path lengths, so that under a
+// memory ceiling that forces evictions its record stream — order
+// included — is exactly the monolithic bounded framework's.
+TEST(FanIn, OneShardBoundedSinkKeepsArrivalOrderAcrossPathLengths) {
+  constexpr std::size_t kMixedFlows = 90;
+  constexpr std::size_t kMixedPackets = 20;
+  const auto hops_of = [](std::size_t flow) {
+    return 2 + static_cast<unsigned>(flow % 6);  // six lengths, 2..7
+  };
+  PathTracingConfig path_tuning;
+  path_tuning.bits = 8;
+  path_tuning.instances = 1;
+  path_tuning.d = 7;
+  std::vector<std::uint64_t> universe;
+  for (std::uint64_t s = 1; s <= 32; ++s) universe.push_back(s);
+  PintFramework::Builder builder;
+  builder.global_bit_budget(16)
+      .seed(0xB0B0)
+      .switch_universe(std::move(universe))
+      .memory_ceiling_bytes(6 << 10)
+      .add_query(make_path_query("path", 8, 1.0, path_tuning))
+      .add_query(make_dynamic_query(
+          "latency", std::string(extractor::kHopLatency), 8, 15.0 / 16.0));
+
+  // Flows interleaved round-robin, each on its own fixed path.
+  const auto network = builder.build_or_throw();
+  std::vector<Packet> packets;
+  std::vector<unsigned> ks;
+  PacketId next_id = 1;
+  for (std::size_t j = 0; j < kMixedPackets; ++j) {
+    for (std::size_t f = 0; f < kMixedFlows; ++f) {
+      Packet p;
+      p.id = next_id++;
+      p.tuple = tuple_of_flow(f);
+      for (HopIndex i = 1; i <= hops_of(f); ++i) {
+        SwitchView view(static_cast<SwitchId>(f % 8 + i));
+        view.set(metric::kHopLatencyNs, 100.0 * i + static_cast<double>(f));
+        network->at_switch(p, i, view);
+      }
+      packets.push_back(std::move(p));
+      ks.push_back(hops_of(f));
+    }
+  }
+
+  const auto mono = builder.build_or_throw();
+  RecordingObserver mono_records;
+  mono->add_observer(&mono_records);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    mono->at_sink(packets[i], ks[i]);
+  }
+  ASSERT_GT(mono->memory_report().total.evictions, 0u)
+      << "the ceiling must force evictions";
+
+  FanInConfig cfg;
+  cfg.num_sinks = 1;
+  cfg.shards_per_sink = 1;
+  cfg.batch_size = 48;
+  cfg.max_frame_records = 128;
+  FanInPipeline pipeline(builder, cfg);
+  RecordingObserver central;
+  pipeline.collector().add_observer(&central);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    pipeline.deliver(packets[i], ks[i]);
+    if ((i + 1) % 500 == 0) pipeline.ship_epoch();
+  }
+  pipeline.shutdown();
+  EXPECT_EQ(pipeline.collector().errors_total(), 0u);
+  EXPECT_EQ(pipeline.sink(0).memory_report().total.evictions,
+            mono->memory_report().total.evictions);
+
+  // The exact record stream, in arrival order: no canonical sort.
+  const auto in_order = [](const std::vector<RecordingObserver::Rec>& recs) {
+    ReportEncoder enc;
+    for (const auto& rec : recs) {
+      if (rec.path_event) {
+        enc.add_path(rec.ctx, rec.query, rec.path);
+      } else {
+        enc.add(rec.ctx, rec.query, rec.obs);
+      }
+    }
+    return enc.finish();
+  };
+  ASSERT_EQ(central.records.size(), mono_records.records.size());
+  EXPECT_EQ(in_order(central.records), in_order(mono_records.records));
+}
+
 // Drop-newest backpressure: a deliberately tiny ring forces drops, and the
 // dropped-frame count must be exact and visible everywhere it is promised:
 // the writer-side TransportCounters (via SinkReport), the receiver-side
@@ -581,6 +669,24 @@ TEST(FanIn, MatchesMonolithicSinkOnSimulatedTraffic) {
                 mono->latency_quantile(fkey, hop, 0.5))
           << "hop " << hop;
     }
+  }
+}
+
+// A sender torn down mid-epoch (an early exit, an unwinding exception)
+// still has batches queued and in flight on its shard workers. They must
+// be discarded or finished before the staged packets and the encoders
+// they point into are freed (ASan flags the use-after-free otherwise).
+TEST(FanIn, SenderDestroyedMidEpochFreesNothingItsWorkersStillUse) {
+  const std::vector<Packet> packets = make_encoded_traffic();
+  const auto builder = three_query_builder();
+  for (int round = 0; round < 20; ++round) {
+    FanInSender::Config cfg;
+    cfg.shards = 4;
+    cfg.batch_size = 16;
+    FanInSender sender(builder, 1, std::make_unique<SpscRingStream>(1 << 16),
+                       cfg);
+    for (const Packet& p : packets) sender.deliver(p, kHops);
+    // No ship_epoch(): the sender goes out of scope with work in flight.
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -90,6 +91,41 @@ Collected collect(Rng& rng, std::span<const std::uint8_t> bytes,
     pump();
   }
   return out;
+}
+
+// Byte-at-a-time CRC-32 (reflected IEEE polynomial), straight from the
+// definition: the reference the table-driven one must agree with.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t byte : bytes) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Frame, Crc32MatchesTheStandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size())),
+            0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Frame, Crc32AgreesWithByteAtATimeAtEveryLengthAndOffset) {
+  Rng rng(21);
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::span<const std::uint8_t> bytes(buf.data() + offset, len);
+      ASSERT_EQ(crc32(bytes), reference_crc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(Frame, RoundTripsThroughArbitraryChunking) {

@@ -412,11 +412,13 @@ TEST(PolicyFramework, PerPacketQueryRejectsNonLruPolicy) {
   EXPECT_EQ(result.error->code, BuildErrorCode::kInconsistentMemoryBudget);
 }
 
-TEST(PolicyFramework, MinQueryPriorityIsTheSheddingClass) {
+TEST(PolicyFramework, QueryPrioritiesSurviveTheBuild) {
   {
     const auto fw =
         policy_builder(0, StorePolicyKind::kLru).build_or_throw();
-    EXPECT_EQ(fw->min_query_priority(), 1u);  // all-default
+    for (std::string_view name : fw->query_names()) {
+      EXPECT_EQ(fw->spec(name)->priority, 1u);  // all-default
+    }
   }
   {
     PathTracingConfig path_tuning;
@@ -435,8 +437,8 @@ TEST(PolicyFramework, MinQueryPriorityIsTheSheddingClass) {
         .add_query(std::move(path))
         .add_query(std::move(latency));
     const auto fw = builder.build_or_throw();
-    EXPECT_EQ(fw->min_query_priority(), 2u);
     EXPECT_EQ(fw->spec("path")->priority, 3u);
+    EXPECT_EQ(fw->spec("latency")->priority, 2u);
   }
 }
 

@@ -3,11 +3,13 @@
 // reject malformed buffers instead of throwing or misparsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -237,6 +239,46 @@ TEST(ReportCodec, ChunkedFinishSplitsIntoSelfContainedBuffers) {
   const auto one = enc2.finish_chunked(want.size());
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], whole);
+}
+
+void feed(ReportEncoder& enc, const std::vector<StreamRecord>& records,
+          std::size_t lo, std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    const StreamRecord& rec = records[i];
+    if (rec.path_event) {
+      enc.add_path(rec.ctx, rec.query, rec.path);
+    } else {
+      enc.add(rec.ctx, rec.query, rec.observation);
+    }
+  }
+}
+
+// finish_chunked(n) is exactly "finish() per n events": each chunk is
+// byte-identical to the buffer a fresh encoder fed only that chunk's
+// events would finish — same first-use name table, same record bytes.
+TEST(ReportCodec, EachChunkEqualsAFreshEncodersFinishOfItsEvents) {
+  Rng rng(0xC4C5);
+  const std::vector<StreamRecord> events = random_records(rng, 2500);
+  const std::size_t kChunkRecords[] = {1, 3, 1024};
+  for (const std::size_t n : kChunkRecords) {
+    ReportEncoder enc;
+    // A finished first epoch: chunking must not see its leftovers.
+    feed(enc, events, 0, 40);
+    std::ignore = enc.finish();
+    feed(enc, events, 0, events.size());
+    const auto chunks = enc.finish_chunked(n);
+    ASSERT_EQ(chunks.size(), (events.size() + n - 1) / n) << n;
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      ReportEncoder fresh;
+      feed(fresh, events, c * n, std::min(events.size(), (c + 1) * n));
+      ASSERT_EQ(chunks[c], fresh.finish()) << "n " << n << " chunk " << c;
+    }
+    // Drained: an empty encoder finishes to magic + zero names + zero
+    // records, and chunks into no buffers at all.
+    EXPECT_EQ(enc.finish(),
+              (std::vector<std::uint8_t>{'P', 'R', 'S', '1', 0, 0}));
+    EXPECT_TRUE(enc.finish_chunked(n).empty());
+  }
 }
 
 TEST(ReportCodec, FuzzedBitFlipsNeverCrashOrEmitOnFailure) {

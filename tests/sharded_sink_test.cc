@@ -59,11 +59,16 @@ FiveTuple tuple_of_flow(std::size_t flow) {
   return t;
 }
 
-// kFlows flows, each with a fixed kHops-switch path, interleaved round-robin
-// (packet j of every flow, then packet j+1) — the order a real sink would
-// see concurrent flows in. Digests are encoded by a dedicated "network"
-// framework replica.
-std::vector<Packet> make_encoded_traffic() {
+// Path length of flow f: kHops, or 2..kHops switches with mixed paths.
+unsigned hops_of_flow(std::size_t flow, bool mixed_paths) {
+  return mixed_paths ? 2 + static_cast<unsigned>(flow % (kHops - 1)) : kHops;
+}
+
+// kFlows flows, each with a fixed path (kHops switches, or
+// hops_of_flow's mix), interleaved round-robin (packet j of every flow,
+// then packet j+1) — the order a real sink would see concurrent flows in.
+// Digests are encoded by a dedicated "network" framework replica.
+std::vector<Packet> make_encoded_traffic(bool mixed_paths = false) {
   const auto network = three_query_builder().build_or_throw();
   std::vector<Packet> packets;
   packets.reserve(kFlows * kPacketsPerFlow);
@@ -78,7 +83,7 @@ std::vector<Packet> make_encoded_traffic() {
   }
   for (Packet& p : packets) {
     const std::size_t f = (p.id - 1) % kFlows;
-    for (HopIndex i = 1; i <= kHops; ++i) {
+    for (HopIndex i = 1; i <= hops_of_flow(f, mixed_paths); ++i) {
       // Flow f's path: switches f%8+1 .. f%8+kHops (within the universe).
       SwitchView view(static_cast<SwitchId>(f % 8 + i));
       view.set(metric::kHopLatencyNs, 100.0 * i + static_cast<double>(f));
@@ -91,11 +96,13 @@ std::vector<Packet> make_encoded_traffic() {
 
 // The merged report stream, canonicalized to bytes: submission order, one
 // report per packet.
+// `ks` holds each packet's path length; empty means kHops for all.
 std::vector<std::uint8_t> stream_bytes(std::span<const Packet> packets,
-                                       std::span<const SinkReport> reports) {
+                                       std::span<const SinkReport> reports,
+                                       std::span<const unsigned> ks = {}) {
   ReportEncoder enc;
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    enc.add(packets[i].id, kHops, reports[i]);
+    enc.add(packets[i].id, ks.empty() ? kHops : ks[i], reports[i]);
   }
   return enc.finish();
 }
@@ -172,6 +179,30 @@ TEST(ShardedSink, MergedReportsByteIdenticalToSingleThreaded) {
     EXPECT_EQ(sink.packets_processed(), packets.size());
     EXPECT_EQ(stream_bytes(packets, reports), base_bytes)
         << "shards=" << shards;
+  }
+
+  // Extra input: flows of four path lengths in one submit, each packet
+  // carrying its own k.
+  const std::vector<Packet> mixed = make_encoded_traffic(/*mixed_paths=*/true);
+  std::vector<unsigned> ks;
+  for (const Packet& p : mixed) {
+    ks.push_back(hops_of_flow((p.id - 1) % kFlows, /*mixed_paths=*/true));
+  }
+  const auto mixed_baseline = builder.build_or_throw();
+  std::vector<SinkReport> mixed_base_reports(mixed.size());
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    mixed_baseline->at_sink(mixed[i], ks[i], mixed_base_reports[i]);
+  }
+  const std::vector<std::uint8_t> mixed_base_bytes =
+      stream_bytes(mixed, mixed_base_reports, ks);
+  for (const unsigned shards : {1u, 2u, 4u}) {
+    ShardedSink sink(builder, shards);
+    std::vector<SinkReport> reports(mixed.size());
+    sink.submit(mixed, ks, reports);
+    sink.flush();
+    EXPECT_EQ(sink.packets_processed(), mixed.size());
+    EXPECT_EQ(stream_bytes(mixed, reports, ks), mixed_base_bytes)
+        << "mixed k, shards=" << shards;
   }
 }
 
@@ -468,6 +499,9 @@ TEST(ShardedSink, SubmitRejectsMismatchedReportBuffer) {
   EXPECT_THROW(sink.submit(packets, kHops, too_small), std::invalid_argument);
   std::vector<SinkReport> too_big(packets.size() + 1);
   EXPECT_THROW(sink.submit(packets, kHops, too_big), std::invalid_argument);
+  // Per-packet path lengths must cover every packet, too.
+  const std::vector<unsigned> short_ks(packets.size() - 1, kHops);
+  EXPECT_THROW(sink.submit(packets, short_ks), std::invalid_argument);
   // The failed submits enqueued nothing: no partial batches to drain.
   sink.flush();
   EXPECT_EQ(sink.packets_processed(), 0u);
