@@ -1,17 +1,15 @@
 // End-to-end sink hot-path benchmark: packets/sec through
 // at_switch -> ShardedSink -> report codec -> framed fan-in -> observers,
-// across the PR's optimization axes:
+// with a light and a heavy observer and across worker counts, plus stage
+// micro-benchmarks:
 //
-//   * Recording-Module allocation: slab arena on vs off;
 //   * decode: materializing decode()+dispatch vs zero-copy streaming
-//     dispatch() (stage micro-benchmark);
-//   * RecordingStore churn: arena on vs off (stage micro-benchmark).
+//     dispatch();
+//   * RecordingStore create/evict churn over its slab arena.
 //
-// `pipeline_sync_heap_*` is the pre-PR configuration (heap-backed stores)
-// kept runnable behind a toggle, so before/after is measured by one binary
-// on one machine. One correctness gate runs inside the bench: every config
-// must deliver every observer event and produce fan-in output canonically
-// byte-identical to a monolithic sink.
+// One correctness gate runs inside the bench: every config must deliver
+// every observer event and produce fan-in output canonically byte-identical
+// to a monolithic sink.
 //
 // Results print as rows and, with --json=PATH or PINT_BENCH_JSON, land in
 // the bench-json schema for tools/check_bench_regression.py (see
@@ -183,7 +181,6 @@ std::vector<std::uint8_t> canonical_bytes(
 
 struct PipelineConfig {
   std::string name;
-  bool arena = true;
   unsigned observer_work = 0;
   unsigned shards = 2;
 };
@@ -197,10 +194,7 @@ struct PipelineRun {
 
 // One timed pass: submit everything, flush, codec-chunk, frame, ingest.
 PipelineRun run_pipeline(const Workload& w, const PipelineConfig& cfg) {
-  auto builder = three_query_builder();
-  builder.recording_arena(cfg.arena);
-
-  ShardedSink sink(builder, cfg.shards);
+  ShardedSink sink(three_query_builder(), cfg.shards);
   DashboardObserver dashboard;
   dashboard.work = cfg.observer_work;
   ReportEncoder encoder;
@@ -351,40 +345,29 @@ void bench_decode_stage(const Workload& w, unsigned reps, JsonWriter& json) {
            "rps");
 }
 
-// RecordingStore churn micro: create/evict cycling at a full ceiling,
-// arena on vs off.
+// RecordingStore churn micro: create/evict cycling at a full ceiling.
 void bench_store_stage(bool smoke, unsigned reps, JsonWriter& json) {
   using Store = RecordingStore<std::vector<std::uint64_t>>;
   const std::size_t touches = smoke ? 50'000 : 2'000'000;
-  const auto run = [&](bool arena) {
-    double best = 0;
-    for (unsigned r = 0; r < reps; ++r) {
-      Store store(
-          64 << 10, [](std::uint64_t key) {
-            return std::vector<std::uint64_t>(8, key);
-          },
-          [](const std::vector<std::uint64_t>& v) {
-            return vector_entry_bytes(v);
-          });
-      store.set_arena(arena);
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < touches; ++i) {
-        store.touch(i % 100'000);  // far more flows than the ceiling holds
-      }
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      best = std::max(best, static_cast<double>(touches) / dt.count());
+  double best = 0;
+  for (unsigned r = 0; r < reps; ++r) {
+    Store store(
+        64 << 10, [](std::uint64_t key) {
+          return std::vector<std::uint64_t>(8, key);
+        },
+        [](const std::vector<std::uint64_t>& v) {
+          return vector_entry_bytes(v);
+        });
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < touches; ++i) {
+      store.touch(i % 100'000);  // far more flows than the ceiling holds
     }
-    return best;
-  };
-  const double heap = run(false);
-  const double arena = run(true);
-  row("  store churn heap           %12.0f touches/s", heap);
-  row("  store churn arena          %12.0f touches/s   (%.2fx)", arena,
-      arena / heap);
-  json.add("bench_hotpath", "store_churn_heap", "touches_per_sec", heap,
-           "tps");
-  json.add("bench_hotpath", "store_churn_arena", "touches_per_sec", arena,
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    best = std::max(best, static_cast<double>(touches) / dt.count());
+  }
+  row("  store churn arena          %12.0f touches/s", best);
+  json.add("bench_hotpath", "store_churn_arena", "touches_per_sec", best,
            "tps");
 }
 
@@ -408,20 +391,18 @@ int run(int argc, char** argv) {
   row("  at_switch encode           %12.0f hop-encodes/s", encode_pps);
 
   JsonWriter json;
-  row("  host profile               %12s", JsonWriter::default_profile().c_str());
+  row("  host profile               %12s",
+      JsonWriter::default_profile().c_str());
   json.add("bench_hotpath", "at_switch", "hop_encodes_per_sec", encode_pps,
            "eps");
 
   const std::vector<std::uint8_t> reference = monolithic_canonical(w);
 
   // The measured matrix. *_heavy configs model an expensive sink-side
-  // observer (dashboard/detector); pipeline_sync_heap_* is the pre-PR
-  // shape (before), the rest are this PR's configurations (after).
+  // observer (dashboard/detector).
   const std::vector<PipelineConfig> configs = {
-      {"pipeline_sync_heap_light", /*arena=*/false, 0},
-      {"pipeline_arena_light", /*arena=*/true, 0},
-      {"pipeline_sync_heap_heavy", /*arena=*/false, kHeavyWork},
-      {"pipeline_arena_heavy", /*arena=*/true, kHeavyWork},
+      {"pipeline_arena_light", 0},
+      {"pipeline_arena_heavy", kHeavyWork},
   };
   // Worker thread-scaling matrix: how the sink behaves as the worker
   // (shard) pool grows. On a 1-core host every row is oversubscribed and
@@ -438,7 +419,7 @@ int run(int argc, char** argv) {
 
   // Gate: every config delivers every event (the first run sets the count)
   // and its fan-in output is byte-identical (canonicalized) to the
-  // monolithic sink, whatever the allocation mode or worker count.
+  // monolithic sink, whatever the observer cost or worker count.
   std::uint64_t total_events = 0;
   const auto report = [&](const std::vector<PipelineConfig>& cfgs) {
     row("%-28s %14s %10s", "config", "packets/s", "events");

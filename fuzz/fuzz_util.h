@@ -6,8 +6,12 @@
 // because fuzz builds are frequently NDEBUG.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
+
+#include "hash/global_hash.h"
 
 #define FUZZ_CHECK(cond)                                                  \
   do {                                                                    \
@@ -40,5 +44,16 @@ class ParamReader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
+
+/// fuzz_path_decoder's switch universe for a (seed, size) pair, shared with
+/// make_fuzz_corpus so seeds can encode real paths over it.
+inline std::vector<std::uint64_t> path_universe(std::uint64_t seed,
+                                                std::size_t size) {
+  std::vector<std::uint64_t> universe(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    universe[i] = pint::mix64(seed * 4096 + i);
+  }
+  return universe;
+}
 
 }  // namespace pint_fuzz

@@ -2,13 +2,14 @@
 //
 //   make_fuzz_corpus <output-root>
 //
-// writes <output-root>/{frame,report,wire}/*.bin, one file per seed. The
-// seeds are produced by the *real* encoders (FrameWriter, ReportEncoder,
-// pack_digests), so the fuzzers start from structurally valid inputs and
-// mutate from there — coverage of the deep parse paths from iteration one
-// instead of spending the budget rediscovering the magic bytes. The
-// checked-in corpus under fuzz/corpus/ is this program's output; rerun it
-// after a wire-format change and commit the diff.
+// writes <output-root>/{frame,report,wire,path}/*.bin, one file per seed.
+// The seeds are produced by the *real* encoders (FrameWriter, ReportEncoder,
+// pack_digests, the path-tracing scheme encoder), so the fuzzers start from
+// structurally valid inputs and mutate from there — coverage of the deep
+// parse paths from iteration one instead of spending the budget
+// rediscovering the magic bytes. The checked-in corpus under fuzz/corpus/
+// is this program's output; rerun it after a wire-format or path-scheme
+// change and commit the diff.
 #include <sys/stat.h>
 
 #include <cerrno>
@@ -20,10 +21,13 @@
 #include <tuple>
 #include <vector>
 
+#include "coding/encoder.h"
 #include "common/types.h"
+#include "fuzz/fuzz_util.h"
 #include "pint/frame.h"
 #include "pint/report_codec.h"
 #include "pint/sink_report.h"
+#include "pint/static_aggregation.h"
 #include "pint/wire_format.h"
 
 namespace {
@@ -187,6 +191,91 @@ bool emit_wire_seeds(const std::string& dir) {
   return ok;
 }
 
+// --- path seeds --------------------------------------------------------------
+
+// fuzz_path_decoder inputs: 7 parameter bytes, then [id:4][lane:8 x inst]
+// records. `paths` digests come from the real scheme encoder over the
+// target's universe, so the standalone decoder resolves hops from the
+// first iteration; `corrupt` XORs 0x5A into lane 0 of that packet index.
+struct PathSeed {
+  unsigned k;
+  std::size_t universe_size;
+  unsigned bits;
+  unsigned instances;
+  pint::SchemeVariant variant;
+  unsigned d;
+  bool fast;
+  std::uint8_t seed;
+  unsigned packets;
+  std::size_t corrupt = ~std::size_t{0};
+  bool off_universe = false;  // one hop's switch is not in the universe
+};
+
+Bytes path_seed(const PathSeed& s) {
+  Bytes out;
+  out.push_back(static_cast<std::uint8_t>(s.k - 1));
+  out.push_back(static_cast<std::uint8_t>((s.universe_size - 1) & 0xFF));
+  out.push_back(static_cast<std::uint8_t>((s.universe_size - 1) >> 8));
+  out.push_back(static_cast<std::uint8_t>(s.bits - 1));
+  out.push_back(static_cast<std::uint8_t>(s.instances - 1));
+  out.push_back(static_cast<std::uint8_t>(
+      static_cast<unsigned>(s.variant) | ((s.d - 1) << 3) |
+      (s.fast ? 0x80 : 0)));
+  out.push_back(s.seed);
+
+  const std::vector<std::uint64_t> universe =
+      pint_fuzz::path_universe(s.seed, s.universe_size);
+  std::vector<std::uint64_t> blocks(s.k);
+  for (unsigned i = 0; i < s.k; ++i) {
+    blocks[i] = universe[(i * 7) % universe.size()];
+  }
+  if (s.off_universe) blocks[s.k / 2] = ~universe[0];
+  pint::SchemeConfig scheme = pint::make_scheme(s.variant, s.d);
+  if (s.fast) scheme = pint::make_fast(scheme);
+  const pint::GlobalHash root(s.seed);
+  for (unsigned n = 0; n < s.packets; ++n) {
+    const pint::PacketId id = 1 + n;
+    std::vector<pint::Digest> lanes = pint::encode_path_multi(
+        scheme, root, s.instances, id, blocks, s.bits);
+    if (n == s.corrupt) lanes[0] ^= 0x5A;
+    for (unsigned b = 0; b < 4; ++b) {
+      out.push_back(static_cast<std::uint8_t>(id >> (8 * b)));
+    }
+    for (pint::Digest lane : lanes) {
+      for (unsigned b = 0; b < 8; ++b) {
+        out.push_back(static_cast<std::uint8_t>(lane >> (8 * b)));
+      }
+    }
+  }
+  return out;
+}
+
+bool emit_path_seeds(const std::string& dir) {
+  using pint::SchemeVariant;
+  bool ok = true;
+  // Section 6.4 fat-tree shape: 5 hops, 80 switches, one 8-bit lane.
+  const PathSeed fat_tree{5, 80, 8, 1, SchemeVariant::kMultiLayer, 5,
+                          false, 1, 40};
+  ok &= write_seed(dir, "fat_tree_decodes.bin", path_seed(fat_tree));
+  PathSeed corrupted = fat_tree;
+  corrupted.corrupt = 6;
+  ok &= write_seed(dir, "fat_tree_corrupted_lane.bin", path_seed(corrupted));
+  PathSeed off_universe = fat_tree;
+  off_universe.off_universe = true;
+  ok &= write_seed(dir, "off_universe_hop.bin", path_seed(off_universe));
+  // ISP-length path, two 4-bit instances on the bit-vector fast path.
+  ok &= write_seed(dir, "isp_two_instances_fast.bin",
+                   path_seed({16, 158, 4, 2, SchemeVariant::kMultiLayerRevised,
+                              10, true, 2, 240}));
+  ok &= write_seed(dir, "xor_wide_digest.bin",
+                   path_seed({9, 300, 16, 1, SchemeVariant::kXor, 9, false, 3,
+                              30}));
+  ok &= write_seed(dir, "single_switch_universe.bin",
+                   path_seed({3, 1, 2, 1, SchemeVariant::kBaseline, 1, false,
+                              4, 4}));
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,7 +285,7 @@ int main(int argc, char** argv) {
   }
   const std::string root = argv[1];
   bool ok = true;
-  for (const char* sub : {"", "/frame", "/report", "/wire"}) {
+  for (const char* sub : {"", "/frame", "/report", "/wire", "/path"}) {
     const std::string dir = root + sub;
     if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
       std::fprintf(stderr, "cannot mkdir %s\n", dir.c_str());
@@ -206,6 +295,7 @@ int main(int argc, char** argv) {
   ok &= emit_frame_seeds(root + "/frame");
   ok &= emit_report_seeds(root + "/report");
   ok &= emit_wire_seeds(root + "/wire");
+  ok &= emit_path_seeds(root + "/path");
   if (!ok) return 1;
   std::printf("corpus written under %s\n", root.c_str());
   return 0;

@@ -122,10 +122,9 @@ class SlabArena {
   std::uint64_t oversize_allocs_ = 0;
 };
 
-/// Minimal STL allocator over a SlabArena. A null arena degrades to plain
-/// `operator new` / `operator delete`, so one container type serves both the
-/// arena-backed and the heap-backed configuration (the bench's arena on/off
-/// comparison flips only this pointer).
+/// Minimal STL allocator over a SlabArena. A null arena (a
+/// default-constructed allocator) degrades to plain `operator new` /
+/// `operator delete`.
 template <typename T>
 class ArenaAllocator {
  public:

@@ -3,7 +3,7 @@
 namespace pint {
 
 FlowletTracker::FlowletTracker(const PathTracingQuery& query, unsigned k,
-                               std::vector<std::uint64_t> universe)
+                               HashedPathDecoder::Universe universe)
     : config_(query.config()),
       scheme_(query.scheme()),
       root_(query.root()),
@@ -12,6 +12,12 @@ FlowletTracker::FlowletTracker(const PathTracingQuery& query, unsigned k,
       universe_(std::move(universe)) {
   start_flowlet();
 }
+
+FlowletTracker::FlowletTracker(const PathTracingQuery& query, unsigned k,
+                               std::vector<std::uint64_t> universe)
+    : FlowletTracker(query, k,
+                     std::make_shared<const std::vector<std::uint64_t>>(
+                         std::move(universe))) {}
 
 void FlowletTracker::start_flowlet() {
   HashedDecoderConfig cfg;

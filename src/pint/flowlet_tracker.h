@@ -23,6 +23,10 @@ namespace pint {
 
 class FlowletTracker {
  public:
+  /// Every flowlet's decoder shares `universe`; nothing is copied per
+  /// flowlet.
+  FlowletTracker(const PathTracingQuery& query, unsigned k,
+                 HashedPathDecoder::Universe universe);
   FlowletTracker(const PathTracingQuery& query, unsigned k,
                  std::vector<std::uint64_t> universe);
 
@@ -49,7 +53,7 @@ class FlowletTracker {
   GlobalHash root_;
   InstanceHashes hashes0_;  // instance 0 drives change detection
   unsigned k_;
-  std::vector<std::uint64_t> universe_;
+  HashedPathDecoder::Universe universe_;
 
   std::unique_ptr<HashedPathDecoder> decoder_;
   std::unique_ptr<PathChangeDetector> detector_;

@@ -119,11 +119,6 @@ PintFramework::Builder& PintFramework::Builder::memory_report_interval(
   return *this;
 }
 
-PintFramework::Builder& PintFramework::Builder::recording_arena(bool enabled) {
-  recording_arena_ = enabled;
-  return *this;
-}
-
 PintFramework::Builder& PintFramework::Builder::default_store_policy(
     StorePolicyKind kind) {
   default_policy_ = kind;
@@ -200,7 +195,8 @@ BuildResult PintFramework::Builder::build() const {
   std::unordered_map<AggregationType, unsigned> family_counts;
   auto fw = std::unique_ptr<PintFramework>(new PintFramework());
   fw->seed_ = seed_;
-  fw->switch_ids_ = universe_;
+  fw->switch_ids_ =
+      std::make_shared<const std::vector<std::uint64_t>>(universe_);
   fw->observers_ = observers_;
 
   std::vector<Query> engine_queries;
@@ -322,12 +318,6 @@ BuildResult PintFramework::Builder::build() const {
   }
   for (Binding& b : fw->bindings_) {
     const Query& q = b.spec.query;
-    if (!recording_arena_) {
-      // Stores default to arena-backed nodes; flip to the heap before any
-      // flow is recorded (the toggle requires an empty store).
-      b.decoders.set_arena(false);
-      b.recorders.set_arena(false);
-    }
     if (q.aggregation == AggregationType::kPerPacket) continue;
     const std::size_t cap =
         b.spec.memory_budget_bytes > 0 ? b.spec.memory_budget_bytes : share;
@@ -506,9 +496,20 @@ void PintFramework::sink_one(const Packet& packet, unsigned k,
         HashedPathDecoder& decoder = *decoder_p;
         const bool was_complete = decoder.complete();
         if (!was_complete) {
-          decoder.add_packet(
-              packet.id,
-              std::span<const Digest>(packet.digests.data() + lane, b.lanes));
+          const std::span<const Digest> digests(packet.digests.data() + lane,
+                                                b.lanes);
+          try {
+            decoder.add_packet(packet.id, digests);
+          } catch (const std::runtime_error&) {
+            // No candidate survives: this packet contradicts what the
+            // flow's decoder learned (a corrupted digest). Drop the decoder
+            // so the flow restarts cleanly, as FlowletTracker does on a
+            // route change; the packet yields no observation here.
+            b.decoders.erase(fkey);
+            ++b.decode_conflicts;
+            lane += b.lanes;
+            continue;
+          }
         }
         obs = PathDigestObservation{decoder.resolved_count(), decoder.k(),
                                     decoder.complete()};
@@ -680,6 +681,7 @@ MemoryReport PintFramework::memory_report() const {
       q.doorkeeper_hits = store.doorkeeper_hits();
       q.frequency_evictions = store.frequency_evictions();
     });
+    q.decode_conflicts = b.decode_conflicts;
   }
   return out;
 }

@@ -147,14 +147,6 @@ class PintFramework {
       return memory_report_interval_time_;
     }
 
-    /// Whether Recording-Module stores draw their per-flow nodes from a
-    /// slab arena (common/arena.h). On by default — fewer mallocs and
-    /// better locality under eviction churn, with identical behavior and
-    /// accounting; off reverts to the global heap (the bench's arena
-    /// on/off comparison).
-    Builder& recording_arena(bool enabled);
-    bool recording_arena_enabled() const { return recording_arena_; }
-
     /// Copy of this builder with the memory ceiling and every per-query
     /// budget divided by `parts`. Bounded never becomes unbounded: the
     /// ceiling floors at 1 byte, and under a ceiling a per-query budget
@@ -202,7 +194,6 @@ class PintFramework {
     std::size_t memory_ceiling_ = 0;   // 0 = unbounded (seed behavior)
     std::uint64_t memory_report_interval_ = 0;  // 0 = no heartbeat
     std::chrono::nanoseconds memory_report_interval_time_{0};  // 0 = off
-    bool recording_arena_ = true;
     StorePolicyKind default_policy_ = StorePolicyKind::kLru;
     std::vector<std::uint64_t> universe_;
     ValueExtractorRegistry registry_;
@@ -364,6 +355,9 @@ class PintFramework {
     // evicted paths (dedupe downstream if duplicates matter).
     RecordingStore<HashedPathDecoder> decoders{
         0, [](const HashedPathDecoder& d) { return d.approx_bytes(); }};
+    // Path decoders dropped because a packet's digests contradicted them
+    // (no candidate survived: a corrupted or misrouted packet).
+    std::uint64_t decode_conflicts = 0;
     RecordingStore<FlowLatencyRecorder> recorders{
         0, [](const FlowLatencyRecorder& r) { return r.approx_bytes(); }};
   };
@@ -392,7 +386,7 @@ class PintFramework {
   std::uint64_t seed_ = 0;
   std::unique_ptr<QueryEngine> engine_;
   std::vector<Binding> bindings_;  // in engine order
-  std::vector<std::uint64_t> switch_ids_;
+  HashedPathDecoder::Universe switch_ids_;  // shared by every decoder
   std::vector<SinkObserver*> observers_;
   std::size_t max_lanes_ = 0;
   std::vector<std::vector<unsigned>> set_widths_;  // per plan set, wire order

@@ -17,7 +17,8 @@
 ///
 /// Accounting contract: `used_bytes()` is always the exact sum of the last
 /// reported size of every resident entry (sizes may grow *or shrink* between
-/// touches — a path decoder's candidate sets shrink as hops resolve). The
+/// touches — a path decoder grows when a hop is first observed and shrinks
+/// as that hop's candidate set narrows). The
 /// flow being touched is never evicted, so `used_bytes()` may transiently
 /// exceed the capacity by at most one entry; `peak_used_bytes()` records the
 /// high-water mark and `over_budget()` flags the only persistent overshoot
@@ -60,11 +61,9 @@ class RecordingStore {
   /// put()) so the no-ceiling hot path never walks state it will not
   /// evict.
   ///
-  /// By default the store's own nodes (hash-map entries, LRU links) come
-  /// from a private SlabArena (common/arena.h): steady-state create/evict
-  /// churn recycles pooled nodes instead of hitting the heap. `set_arena`
-  /// (before first use) switches back to plain heap allocation — identical
-  /// behavior and accounting, only the allocator differs.
+  /// The store's own nodes (hash-map entries, LRU links) come from a
+  /// private SlabArena (common/arena.h): steady-state create/evict churn
+  /// recycles pooled nodes instead of hitting the heap.
   RecordingStore(std::size_t capacity_bytes, Factory factory, SizeFn size_of)
       : capacity_(capacity_bytes), factory_(std::move(factory)),
         size_of_(std::move(size_of)) {
@@ -82,33 +81,14 @@ class RecordingStore {
     if (!size_of_) throw std::invalid_argument("size_of required");
   }
 
-  /// Enables or disables the slab arena behind the store's containers.
-  /// Only valid while the store is empty (the builder configures stores
-  /// before any packet arrives); throws std::logic_error otherwise.
-  void set_arena(bool enabled) {
-    if (enabled == (arena_ != nullptr)) return;  // no-op, any time
-    if (!entries_.empty()) {
-      throw std::logic_error("RecordingStore: arena toggle on a live store");
-    }
-    if (enabled) {
-      arena_ = std::make_unique<SlabArena>();
-    }
-    SlabArena* backing = enabled ? arena_.get() : nullptr;
-    // Propagating move-assignments swap in the new allocator; both
-    // containers are empty, so no elements move between arenas.
-    entries_ = EntryMap(0, MapHash{}, MapEq{}, MapAlloc{backing});
-    lru_ = LruList(ListAlloc{backing});
-    if (!enabled) arena_.reset();
-  }
-
-  /// The store's slab arena, or nullptr when arena-backing is disabled.
-  const SlabArena* arena() const { return arena_.get(); }
+  /// The slab arena behind the store's nodes.
+  const SlabArena& arena() const { return *arena_; }
 
   /// Installs an admission/eviction policy (pint/policy.h); nullptr
   /// reverts to plain LRU — the store then runs its original code path
   /// byte-identically. Only valid while the store is empty (the builder
-  /// configures stores before any packet arrives), like `set_arena`;
-  /// throws std::logic_error otherwise.
+  /// configures stores before any packet arrives); throws std::logic_error
+  /// otherwise.
   void set_policy(std::unique_ptr<StorePolicy> policy) {
     if (!entries_.empty()) {
       throw std::logic_error("RecordingStore: policy change on a live store");

@@ -342,6 +342,7 @@ MemoryReport ShardedSink::memory_report() const {
       into.admissions_rejected += from.admissions_rejected;
       into.doorkeeper_hits += from.doorkeeper_hits;
       into.frequency_evictions += from.frequency_evictions;
+      into.decode_conflicts += from.decode_conflicts;
       into.over_budget = into.over_budget || from.over_budget;
     }
     merged.total.used_bytes += part.total.used_bytes;

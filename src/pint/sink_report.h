@@ -115,6 +115,9 @@ struct QueryMemoryStats {
   std::uint64_t admissions_rejected = 0;  ///< arrivals shed at the door
   std::uint64_t doorkeeper_hits = 0;      ///< admits on a known key
   std::uint64_t frequency_evictions = 0;  ///< evicts decided by frequency
+  /// Path decoders dropped on a packet whose digests left some hop with no
+  /// candidate (a corrupted packet); always 0 for non-path queries.
+  std::uint64_t decode_conflicts = 0;
   bool over_budget = false;
 };
 

@@ -45,13 +45,19 @@ void PathTracingQuery::encode(PacketId packet, HopIndex i, SwitchId sid,
 }
 
 HashedPathDecoder PathTracingQuery::make_decoder(
-    unsigned k, std::vector<std::uint64_t> universe) const {
+    unsigned k, HashedPathDecoder::Universe universe) const {
   HashedDecoderConfig cfg;
   cfg.k = k;
   cfg.bits = config_.bits;
   cfg.instances = config_.instances;
   cfg.scheme = scheme_;
   return HashedPathDecoder(cfg, root_, std::move(universe));
+}
+
+HashedPathDecoder PathTracingQuery::make_decoder(
+    unsigned k, std::vector<std::uint64_t> universe) const {
+  return make_decoder(k, std::make_shared<const std::vector<std::uint64_t>>(
+                             std::move(universe)));
 }
 
 }  // namespace pint

@@ -57,7 +57,10 @@ class PathTracingQuery {
   }
 
   /// Sink side: a per-flow decoder for a k-hop flow over the given switch-ID
-  /// universe.
+  /// universe. The shared-universe overload copies nothing — the framework
+  /// hands every flow's decoder the same universe.
+  HashedPathDecoder make_decoder(unsigned k,
+                                 HashedPathDecoder::Universe universe) const;
   HashedPathDecoder make_decoder(unsigned k,
                                  std::vector<std::uint64_t> universe) const;
 

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "coding/encoder.h"
@@ -11,6 +17,7 @@
 #include "coding/peeling_decoder.h"
 #include "coding/scheme.h"
 #include "common/rng.h"
+#include "pint/static_aggregation.h"
 
 namespace pint {
 namespace {
@@ -268,6 +275,285 @@ TEST(HashedDecoder, TwoInstancesBeatOneAtSameBudget) {
     return total / reps;
   };
   EXPECT_LT(avg_packets(8, 2), avg_packets(16, 1) * 1.05);
+}
+
+// --- hashed decoder vs an eager reference -----------------------------------
+
+// Eager reference decoder: every hop starts with a full copy of the
+// universe and is narrowed in place. The differential oracle for
+// HashedPathDecoder, whose candidate sets are built lazily.
+class EagerReferenceDecoder {
+ public:
+  EagerReferenceDecoder(HashedDecoderConfig cfg, const GlobalHash& root,
+                        const std::vector<std::uint64_t>& universe)
+      : cfg_(cfg), candidates_(cfg.k, universe) {
+    for (unsigned inst = 0; inst < cfg.instances; ++inst) {
+      hashes_.push_back(make_instance_hashes(root, inst));
+    }
+    if (universe.size() == 1) resolved_ = cfg.k;
+  }
+
+  unsigned add_packet(PacketId packet, std::span<const Digest> digests) {
+    unsigned newly = 0;
+    for (unsigned inst = 0; inst < cfg_.instances; ++inst) {
+      const InstanceHashes& h = hashes_[inst];
+      const unsigned layer = select_layer(cfg_.scheme, h.layer, packet);
+      if (layer == 0) {
+        newly += filter_hop(baseline_carrier(h.g, packet, cfg_.k), inst,
+                            packet, digests[inst]);
+        continue;
+      }
+      Record rec{packet, inst, digests[inst], {}};
+      for (HopIndex i : xor_layer_hops(cfg_.scheme, h, packet, cfg_.k,
+                                       layer)) {
+        if (candidates_[i - 1].size() == 1) {
+          rec.residual ^=
+              h.value.digest2(candidates_[i - 1][0], packet, cfg_.bits);
+        } else {
+          rec.unknown.push_back(i);
+        }
+      }
+      if (rec.unknown.empty()) continue;
+      if (rec.unknown.size() == 1) {
+        newly += filter_hop(rec.unknown[0], inst, packet, rec.residual);
+        continue;
+      }
+      records_.push_back(std::move(rec));
+      for (HopIndex i : records_.back().unknown) {
+        hop_to_records_[i].push_back(records_.size() - 1);
+      }
+    }
+    return newly;
+  }
+
+  unsigned resolved_count() const { return resolved_; }
+  bool complete() const { return resolved_ == cfg_.k; }
+  std::optional<std::uint64_t> value_at(HopIndex hop) const {
+    const auto& cands = candidates_[hop - 1];
+    if (cands.size() == 1) return cands[0];
+    return std::nullopt;
+  }
+  std::vector<std::uint64_t> path() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& cands : candidates_) out.push_back(cands[0]);
+    return out;
+  }
+
+ private:
+  struct Record {
+    PacketId packet;
+    unsigned instance;
+    Digest residual;
+    std::vector<HopIndex> unknown;
+  };
+
+  unsigned filter_hop(HopIndex hop, unsigned inst, PacketId packet,
+                      Digest digest) {
+    auto& cands = candidates_[hop - 1];
+    if (cands.size() == 1) return 0;
+    std::erase_if(cands, [&](std::uint64_t v) {
+      return hashes_[inst].value.digest2(v, packet, cfg_.bits) != digest;
+    });
+    if (cands.empty()) throw std::runtime_error("no candidate survives");
+    return cands.size() == 1 ? on_resolved(hop) : 0;
+  }
+
+  unsigned on_resolved(HopIndex hop) {
+    unsigned newly = 1;
+    ++resolved_;
+    const std::uint64_t value = candidates_[hop - 1][0];
+    auto it = hop_to_records_.find(hop);
+    if (it == hop_to_records_.end()) return newly;
+    const std::vector<std::size_t> affected = it->second;
+    hop_to_records_.erase(it);
+    for (std::size_t idx : affected) {
+      Record& rec = records_[idx];
+      auto pos = std::find(rec.unknown.begin(), rec.unknown.end(), hop);
+      if (pos == rec.unknown.end()) continue;
+      rec.unknown.erase(pos);
+      rec.residual ^=
+          hashes_[rec.instance].value.digest2(value, rec.packet, cfg_.bits);
+      if (rec.unknown.size() == 1) {
+        newly += filter_hop(rec.unknown[0], rec.instance, rec.packet,
+                            rec.residual);
+      }
+    }
+    return newly;
+  }
+
+  HashedDecoderConfig cfg_;
+  std::vector<InstanceHashes> hashes_;
+  std::vector<std::vector<std::uint64_t>> candidates_;
+  unsigned resolved_ = 0;
+  std::vector<Record> records_;
+  std::unordered_map<HopIndex, std::vector<std::size_t>> hop_to_records_;
+};
+
+// What a caller can observe of a decoder.
+struct DecoderView {
+  unsigned resolved = 0;
+  std::vector<std::optional<std::uint64_t>> values;
+  std::optional<std::vector<std::uint64_t>> path;
+
+  template <typename Decoder>
+  static DecoderView of(const Decoder& d, unsigned k) {
+    DecoderView v;
+    v.resolved = d.resolved_count();
+    for (HopIndex i = 1; i <= k; ++i) v.values.push_back(d.value_at(i));
+    if (d.complete()) v.path = d.path();
+    return v;
+  }
+  bool operator==(const DecoderView&) const = default;
+};
+
+TEST(HashedDecoder, LazyDecoderMatchesEagerReference) {
+  // Differential: the lazy decoder must return, resolve, expose and throw
+  // exactly like the eager reference, packet by packet, across universe
+  // sizes, path lengths, digest widths, instance counts and every scheme
+  // variant (exact and bit-vector fast path). Some packets get a corrupted
+  // lane (and some paths leave the universe) so the "no candidate
+  // survives" path is exercised: after a throw the lazy decoder must be
+  // exactly as before the packet, and it must keep agreeing with a
+  // reference rebuilt from the packets it accepted.
+  const std::vector<std::size_t> universe_sizes = {1, 2, 80, 158, 1000};
+  const std::vector<unsigned> ks = {1, 2, 3, 5, 9, 16, 25, 40};
+  const std::vector<unsigned> bit_widths = {1, 2, 3, 5, 8, 12, 16};
+  const std::vector<SchemeVariant> variants = {
+      SchemeVariant::kBaseline, SchemeVariant::kXor, SchemeVariant::kHybrid,
+      SchemeVariant::kMultiLayer, SchemeVariant::kMultiLayerRevised};
+  Rng rng(20240515);
+  std::uint64_t throws = 0;
+  std::uint64_t completions = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const std::size_t usize = universe_sizes[rng.uniform_int(
+        static_cast<std::uint64_t>(universe_sizes.size()))];
+    const unsigned k = ks[rng.uniform_int(ks.size())];
+    const unsigned bits = bit_widths[rng.uniform_int(bit_widths.size())];
+    const unsigned instances = 1 + static_cast<unsigned>(rng.uniform_int(2));
+    const SchemeVariant variant = variants[trial % variants.size()];
+    const bool fast = (trial / variants.size()) % 2 == 1;
+    HashedDecoderConfig cfg;
+    cfg.k = k;
+    cfg.bits = bits;
+    cfg.instances = instances;
+    cfg.scheme = make_scheme(variant, std::max(k, 2u));
+    if (fast) cfg.scheme = make_fast(cfg.scheme);
+    std::vector<std::uint64_t> universe(usize);
+    for (std::uint64_t& v : universe) v = rng.next();
+    std::vector<std::uint64_t> blocks(k);
+    for (std::uint64_t& b : blocks) b = universe[rng.uniform_int(usize)];
+    // One trial in eight routes a hop through a switch outside the universe.
+    if (rng.uniform_int(8) == 0) blocks[rng.uniform_int(k)] = rng.next();
+    const GlobalHash root(rng.next());
+    const std::string where = "trial " + std::to_string(trial) + " |U|=" +
+                              std::to_string(usize) + " k=" +
+                              std::to_string(k) + " bits=" +
+                              std::to_string(bits) + " inst=" +
+                              std::to_string(instances);
+
+    HashedPathDecoder lazy(cfg, root, universe);
+    auto eager = std::make_unique<EagerReferenceDecoder>(cfg, root, universe);
+    std::vector<std::pair<PacketId, std::vector<Digest>>> accepted;
+    const unsigned packets = 60 + 12 * k;
+    for (PacketId p = 1; p <= packets && !lazy.complete(); ++p) {
+      std::vector<Digest> lanes =
+          encode_path_multi(cfg.scheme, root, instances, p, blocks, bits);
+      if (rng.uniform_int(25) == 0) {
+        lanes[rng.uniform_int(instances)] ^=
+            1 + rng.uniform_int(low_bits_mask(bits));
+      }
+      const DecoderView before = DecoderView::of(lazy, k);
+      std::optional<unsigned> eager_newly;
+      try {
+        eager_newly = eager->add_packet(p, lanes);
+      } catch (const std::runtime_error&) {
+      }
+      std::optional<unsigned> lazy_newly;
+      try {
+        lazy_newly = lazy.add_packet(p, lanes);
+      } catch (const std::runtime_error&) {
+      }
+      ASSERT_EQ(eager_newly.has_value(), lazy_newly.has_value())
+          << where << " packet " << p;
+      if (!lazy_newly.has_value()) {
+        ++throws;
+        ASSERT_EQ(DecoderView::of(lazy, k), before) << where << " packet "
+                                                    << p;
+        ASSERT_EQ(lazy.packets_consumed(), accepted.size()) << where;
+        // The reference is left half-filtered by its throw; rebuild it
+        // from the packets the lazy decoder accepted.
+        eager = std::make_unique<EagerReferenceDecoder>(cfg, root, universe);
+        for (const auto& [q, q_lanes] : accepted) eager->add_packet(q, q_lanes);
+        continue;
+      }
+      accepted.emplace_back(p, lanes);
+      ASSERT_EQ(*eager_newly, *lazy_newly) << where << " packet " << p;
+      ASSERT_EQ(DecoderView::of(*eager, k), DecoderView::of(lazy, k))
+          << where << " packet " << p;
+    }
+    if (lazy.complete()) ++completions;
+  }
+  // The sweep must reach both outcomes it claims to compare.
+  EXPECT_GT(throws, 20u);
+  EXPECT_GT(completions, 60u);
+}
+
+TEST(HashedDecoder, FreshFootprintIndependentOfUniverse) {
+  // Candidate sets are built on first observation and the universe is
+  // shared, so a fresh decoder costs the same over 2 or 100k switch IDs.
+  HashedDecoderConfig cfg;
+  cfg.k = 12;
+  cfg.scheme = make_multilayer_scheme(12);
+  const GlobalHash root(99);
+  const auto fresh_bytes = [&](std::size_t usize) {
+    std::vector<std::uint64_t> universe(usize);
+    std::iota(universe.begin(), universe.end(), 1);
+    return HashedPathDecoder(cfg, root, std::move(universe)).approx_bytes();
+  };
+  const std::size_t small = fresh_bytes(2);
+  EXPECT_EQ(fresh_bytes(158), small);
+  EXPECT_EQ(fresh_bytes(100000), small);
+  EXPECT_LT(small, 1024u);
+}
+
+TEST(HashedDecoder, FootprintShrinksAsHopsResolve) {
+  const unsigned k = 8;
+  HashedDecoderConfig cfg;
+  cfg.k = k;
+  cfg.bits = 4;  // ~|U|/16 survivors after a hop's first observation
+  cfg.scheme = make_baseline_scheme();
+  std::vector<std::uint64_t> universe(512);
+  std::iota(universe.begin(), universe.end(), 1);
+  const std::vector<std::uint64_t> blocks = {3, 40, 77, 120, 200, 301, 402,
+                                             499};
+  const GlobalHash root(4242);
+  HashedPathDecoder dec(cfg, root, universe);
+  const std::size_t fresh = dec.approx_bytes();
+  std::size_t peak = fresh;
+  PacketId p = 1;
+  while (!dec.complete()) {
+    dec.add_packet(p, encode_path_multi(cfg.scheme, root, 1, p, blocks, 4));
+    peak = std::max(peak, dec.approx_bytes());
+    ++p;
+  }
+  EXPECT_EQ(dec.path(), blocks);
+  EXPECT_GT(peak, fresh);  // first observations materialize survivors
+  // Resolved hops keep one candidate each: far below the peak.
+  EXPECT_LT(dec.approx_bytes(), peak);
+  EXPECT_LE(dec.approx_bytes(), fresh + k * sizeof(std::uint64_t));
+}
+
+TEST(HashedDecoder, SharedUniverseIsNotCopied) {
+  const auto universe = std::make_shared<const std::vector<std::uint64_t>>(
+      std::vector<std::uint64_t>{10, 20, 30, 40});
+  HashedDecoderConfig cfg;
+  cfg.k = 3;
+  cfg.scheme = make_multilayer_scheme(3);
+  const GlobalHash root(5);
+  HashedPathDecoder a(cfg, root, universe);
+  HashedPathDecoder b(cfg, root, universe);
+  EXPECT_EQ(universe.use_count(), 3);
+  EXPECT_EQ(a.approx_bytes(), b.approx_bytes());
 }
 
 // --- fragmentation -----------------------------------------------------------

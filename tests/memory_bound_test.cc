@@ -149,6 +149,28 @@ TEST(MemoryBound, ElephantsDecodeWhileMiceEvict) {
   }
 }
 
+TEST(MemoryBound, CompletedPathStateIsUnderOneKiB) {
+  // Candidate sets hold only survivors, so a decoded 5-hop flow keeps one
+  // switch ID per hop instead of k copies of the universe.
+  const std::vector<Packet> packets = make_heavy_tailed_traffic();
+  const auto fw = mix_builder(1u << 20).build_or_throw();
+  const std::uint64_t fkey = fw->flow_key_for("path", tuple_of_flow(0));
+  const Packet* last = nullptr;
+  for (const Packet& p : packets) {
+    if (p.tuple != tuple_of_flow(0)) continue;
+    fw->at_sink(p, kHops);
+    last = &p;
+    if (fw->flow_path("path", fkey).has_value()) break;
+  }
+  ASSERT_TRUE(fw->flow_path("path", fkey).has_value());
+  // One more touch re-accounts the completed decoder's final size.
+  fw->at_sink(*last, kHops);
+  const MemoryReport mem = fw->memory_report();
+  const QueryMemoryStats* stats = mem.find("path");
+  ASSERT_EQ(stats->flows, 1u);
+  EXPECT_LT(stats->used_bytes, 1024u);
+}
+
 TEST(MemoryBound, SinkReportCountersMatchMemoryReport) {
   const std::vector<Packet> packets = make_heavy_tailed_traffic();
   const auto fw = mix_builder(256u << 10).build_or_throw();

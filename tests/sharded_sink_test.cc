@@ -6,6 +6,7 @@
 // flow-partition rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <span>
@@ -206,6 +207,50 @@ TEST(ShardedSink, MergedReportsByteIdenticalToSingleThreaded) {
   }
 }
 
+TEST(ShardedSink, CorruptedPathDigestsDropTheDecoderNotTheSink) {
+  // A flipped path lane can leave a hop with no candidate switch. The
+  // framework must drop that flow's decoder (counted in decode_conflicts)
+  // and carry on; a shard worker must not die on it. Every sink layout
+  // sees the same conflicts and emits the same records.
+  std::vector<Packet> packets = make_encoded_traffic();
+  for (std::size_t i = 0; i < packets.size(); i += 50) {
+    packets[i].digests[0] ^= 0x5A;  // lane 0 is the path query's lane
+  }
+  const auto builder = three_query_builder();
+  const auto baseline = builder.build_or_throw();
+  std::vector<SinkReport> base_reports(packets.size());
+  baseline->at_sink(std::span<const Packet>(packets), kHops, base_reports);
+
+  // A conflicting packet is the only decodable packet that yields no path
+  // observation, so the reports count the conflicts independently.
+  std::uint64_t missing_path = 0;
+  for (const SinkReport& r : base_reports) {
+    const bool has_path = std::any_of(r.begin(), r.end(), [](const auto& o) {
+      return o.query == "path";
+    });
+    if (!has_path) ++missing_path;
+  }
+  const std::uint64_t conflicts =
+      baseline->memory_report().find("path")->decode_conflicts;
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_EQ(conflicts, missing_path);
+  EXPECT_EQ(baseline->memory_report().find("latency")->decode_conflicts, 0u);
+  const std::vector<std::uint8_t> base_bytes =
+      stream_bytes(packets, base_reports);
+
+  for (const unsigned shards : {2u, 4u}) {
+    ShardedSink sink(builder, shards);
+    std::vector<SinkReport> reports(packets.size());
+    sink.submit(packets, kHops, reports);
+    sink.flush();
+    EXPECT_EQ(sink.packets_processed(), packets.size());
+    EXPECT_EQ(stream_bytes(packets, reports), base_bytes)
+        << "shards=" << shards;
+    EXPECT_EQ(sink.memory_report().find("path")->decode_conflicts, conflicts)
+        << "shards=" << shards;
+  }
+}
+
 TEST(ShardedSink, MergedInferenceMatchesSingleThreaded) {
   const std::vector<Packet> packets = make_encoded_traffic();
   const auto builder = three_query_builder();
@@ -379,8 +424,6 @@ TEST(ShardedSink, MpmcFourProducerStressMatchesSingleProducerBaseline) {
                       base_reports[p]);
   }
 
-  // Recording stores draw from per-thread slab arenas by default.
-  ASSERT_TRUE(builder.recording_arena_enabled());
   struct Case {
     unsigned shards;
     unsigned observer_work;  // FNV rounds per observer event
